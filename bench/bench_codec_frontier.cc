@@ -66,8 +66,9 @@ std::vector<std::pair<std::string, std::string>> HarvestCheckpointSections(
   return sections;
 }
 
-// The non-checkpoint payload kinds: the byte streams the packed accumulator
-// and the serializer push through the same transforms.
+// The non-checkpoint payload kinds: a serialized row batch (the form in
+// which the engine manifest stores buffered rows) and the raw numeric and
+// dictionary-code column bytes a table holds in memory.
 std::vector<std::pair<std::string, std::string>> SyntheticPayloads(
     const BenchParams& params) {
   storage::Table census = datagen::CensusLike(params.rows, params.seed + 1);

@@ -73,9 +73,9 @@ else
   echo "bench_smoke: cluster bench not built, skipping"
 fi
 
-# Codec frontier smoke: every registered checkpoint codec against real
-# data-plane payloads (checkpoint sections harvested from an actual engine
-# Save, serialized batches, raw column bytes). Verifies every round trip
+# Codec frontier smoke: every registered checkpoint codec (raw, lz, shuffle)
+# against real data-plane payloads (checkpoint sections harvested from an
+# actual engine Save, a serialized row batch, raw column bytes). Verifies every round trip
 # bit-exactly and writes BENCH_codec_frontier.json (ratio + MB/s per cell);
 # the committed full-size run lives in results/.
 "${BUILD_DIR}/bench/bench_codec_frontier"

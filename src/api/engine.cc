@@ -44,6 +44,22 @@ std::string ControllerSection(const std::string& table) {
   return "controller:" + table;
 }
 
+// Rows [begin, end) of `t`, preserving order.
+storage::Table Slice(const storage::Table& t, int64_t begin, int64_t end) {
+  std::vector<int64_t> rows(static_cast<size_t>(end - begin));
+  std::iota(rows.begin(), rows.end(), begin);
+  return t.TakeRows(rows);
+}
+
+// Accumulator footprint: 8 bytes per numeric and 4 per categorical value.
+int64_t BufferedBytes(const storage::Table& t) {
+  int64_t bytes_per_row = 0;
+  for (int i = 0; i < t.num_columns(); ++i) {
+    bytes_per_row += t.column(i).is_numeric() ? 8 : 4;
+  }
+  return t.num_rows() * bytes_per_row;
+}
+
 int ResolveUpdateWorkers(int requested) {
   if (requested >= 0) return requested;
   // Auto: one worker per default thread beyond the first, so DDUP_THREADS=1
@@ -142,6 +158,7 @@ Status Engine::CreateTable(const std::string& name,
     return Status::InvalidArgument("table '" + name +
                                    "' needs at least one column");
   }
+  DDUP_RETURN_IF_ERROR(storage::CheckValuesValid(base_data));
   if (options.micro_batch_rows < 0) {
     return Status::InvalidArgument("micro_batch_rows must be >= 0");
   }
@@ -163,8 +180,7 @@ Status Engine::CreateTable(const std::string& name,
                              : options.detector;
   state->base = base_data;
   state->base.set_name(name);
-  state->pending.Reset(state->base, state->micro_batch_rows,
-                       config_.packed_accumulator);
+  state->pending = state->base.TakeRows({});  // zero rows, same schema
   // Stats cover the base rows from the start; later batches fold in when
   // they leave the accumulator (DrainInline/EnqueueBatchesLocked).
   state->stats_builder = storage::TableStatsBuilder(state->base);
@@ -266,7 +282,7 @@ Status Engine::DrainInline(TableState* state, bool all, IngestResult* result) {
   Status status;
   while (status.ok() && total - offset >= state->micro_batch_rows) {
     storage::Table batch =
-        state->pending.Slice(offset, offset + state->micro_batch_rows);
+        Slice(state->pending, offset, offset + state->micro_batch_rows);
     status = PushBatch(state, batch, result);
     if (status.ok()) {
       state->stats_builder.Absorb(batch);
@@ -274,7 +290,7 @@ Status Engine::DrainInline(TableState* state, bool all, IngestResult* result) {
     }
   }
   if (status.ok() && all && offset < total) {
-    storage::Table batch = state->pending.Slice(offset, total);
+    storage::Table batch = Slice(state->pending, offset, total);
     status = PushBatch(state, batch, result);
     if (status.ok()) {
       state->stats_builder.Absorb(batch);
@@ -282,7 +298,7 @@ Status Engine::DrainInline(TableState* state, bool all, IngestResult* result) {
     }
   }
   if (offset > 0) {
-    state->pending.DropFront(offset);
+    state->pending = Slice(state->pending, offset, total);
     // Stats fold only for batches the loop actually consumed: on an error
     // the unconsumed suffix stays buffered and stays out of the stats,
     // keeping the snapshot aligned with what the model serves.
@@ -377,7 +393,7 @@ void Engine::SubmitGroupLocked(const std::shared_ptr<TableState>& state,
   group.reserve(static_cast<size_t>(batches) + (remainder ? 1 : 0));
   for (int64_t b = 0; b < batches; ++b) {
     storage::Table batch =
-        state->pending.Slice(offset, offset + state->micro_batch_rows);
+        Slice(state->pending, offset, offset + state->micro_batch_rows);
     offset += state->micro_batch_rows;
     // Async stats fold at enqueue time: the rows leave the accumulator for
     // the strand unconditionally, so the snapshot tracks the handed-off
@@ -389,14 +405,14 @@ void Engine::SubmitGroupLocked(const std::shared_ptr<TableState>& state,
     group.push_back(std::move(batch));
   }
   if (remainder && offset < total) {
-    storage::Table batch = state->pending.Slice(offset, total);
+    storage::Table batch = Slice(state->pending, offset, total);
     offset = total;
     state->stats_builder.Absorb(batch);
     result->rows_enqueued += batch.num_rows();
     group.push_back(std::move(batch));
   }
   if (group.empty()) return;
-  state->pending.DropFront(offset);
+  state->pending = Slice(state->pending, offset, total);
   std::atomic_store(&state->stats, state->stats_builder.Snapshot());
   if (group.size() > 1) {
     std::lock_guard<std::mutex> lock(state->stats_mu);
@@ -512,6 +528,7 @@ StatusOr<IngestResult> Engine::Ingest(const std::string& name,
   IngestResult result;
   if (batch.num_rows() > 0) {
     DDUP_RETURN_IF_ERROR(storage::CheckSchemaCompatible(state->base, batch));
+    DDUP_RETURN_IF_ERROR(storage::CheckValuesValid(batch));
     if (bounded) {
       // Shed decides at call entry, before any row is buffered: a refused
       // call leaves no trace in the accumulator, so the caller can retry
@@ -640,6 +657,7 @@ StatusOr<FlushReport> Engine::FlushAll() {
       Status st = DrainInline(state.get(), /*all=*/true, &result);
       sweep.rows_flushed += result.rows_flushed;
       sweep.updates_triggered += static_cast<int64_t>(result.reports.size());
+      sweep.reports[name] = std::move(result.reports);
       if (!st.ok() && first_error.ok()) first_error = st;
     }
   }
@@ -652,13 +670,17 @@ StatusOr<FlushReport> Engine::FlushAll() {
         state->draining = false;
       }
       std::lock_guard<std::mutex> lock(state->stats_mu);
+      if (!state->async_error.ok()) {
+        // Like Flush: the completed reports stay buffered rather than
+        // vanish with the discarded sweep.
+        if (first_error.ok()) first_error = state->async_error;
+        continue;
+      }
       sweep.updates_triggered +=
           static_cast<int64_t>(state->finished.size());
       for (const auto& r : state->finished) sweep.rows_flushed += r.new_rows;
+      sweep.reports[state->name] = std::move(state->finished);
       state->finished.clear();
-      if (!state->async_error.ok() && first_error.ok()) {
-        first_error = state->async_error;
-      }
     }
   }
   if (!first_error.ok()) return first_error;
@@ -796,7 +818,7 @@ StatusOr<TableReport> Engine::Report(const std::string& name) const {
     report.model_kind = state->spec.kind;
     report.detector_kind = state->detector_kind;
     report.buffered_rows = state->pending.num_rows();
-    report.buffered_bytes = state->pending.buffered_bytes();
+    report.buffered_bytes = BufferedBytes(state->pending);
     report.micro_batch_rows = state->micro_batch_rows;
     if (state->controller != nullptr) {
       // stats() is the controller's thread-safe read surface; the live
@@ -890,7 +912,7 @@ Engine::TableCheckpoint Engine::CheckpointTable(const TableState& state) {
     manifest.WriteDouble(state.detect_seconds);
     manifest.WriteDouble(state.update_seconds);
     manifest.WriteTable(state.base);
-    manifest.WriteTable(state.pending.Materialize());
+    manifest.WriteTable(state.pending);
     manifest.WriteBool(state.model != nullptr);
     out.has_model = state.model != nullptr;
     if (out.has_model) {
@@ -1010,16 +1032,15 @@ StatusOr<std::unique_ptr<Engine>> Engine::Load(const std::string& path,
     state->detect_seconds = manifest.ReadDouble();
     state->update_seconds = manifest.ReadDouble();
     state->base = manifest.ReadTable();
-    storage::Table pending = manifest.ReadTable();
+    state->pending = manifest.ReadTable();
     bool has_model = manifest.ReadBool();
     if (!manifest.ok()) break;
     if (state->micro_batch_rows <= 0) {
       return Status::InvalidArgument("manifest for table '" + state->name +
                                      "' has a non-positive micro-batch size");
     }
-    state->pending.Reset(state->base, state->micro_batch_rows,
-                         engine->config_.packed_accumulator);
-    state->pending.Append(pending);
+    DDUP_RETURN_IF_ERROR(
+        storage::CheckSchemaCompatible(state->base, state->pending));
     if (has_model) {
       StatusOr<std::string> model_payload =
           reader.value().Section(ModelSection(state->name));

@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/controller.h"
-#include "storage/packed.h"
 #include "storage/stats.h"
 #include "storage/table.h"
 #include "workload/join_query.h"
@@ -32,7 +31,7 @@ class QueryRouter;
 // Checkpoint-writing knobs (Engine::Save, serving::Cluster::Save).
 struct CheckpointOptions {
   // Section codec, by registered name (io::RegisteredCodecNames(): "raw",
-  // "lz", "shuffle", "delta"). "" uses the compressed default
+  // "lz", "shuffle"). "" uses the compressed default
   // (io::kDefaultCheckpointCodec). The choice is recorded in the engine
   // manifest, so a later Save through Engine::Load + Save keeps the codec
   // unless the loading config names a different one; Load itself reads any
@@ -79,14 +78,6 @@ struct EngineConfig {
   // first bounded Ingest, like estimate_engine.
   int64_t max_backlog_batches = 0;
   std::string admission_policy = "block";
-  // Buffer accumulated rows in the packed columnar form
-  // (storage::MicroBatchBuffer): sealed micro-batch chunks are held as
-  // delta/varint- or shuffle-encoded column buffers instead of plain
-  // doubles/codes, shrinking the per-table buffered footprint
-  // (TableReport::buffered_bytes). Drain order and model bytes are
-  // identical either way — pinned by tests/packed_test.cc — so false is
-  // only a debugging escape hatch, not a compatibility knob.
-  bool packed_accumulator = true;
   // How Engine::Save (and serving::Cluster::Save) writes checkpoint
   // containers.
   CheckpointOptions checkpoint;
@@ -155,6 +146,10 @@ struct FlushReport {
   int64_t rows_flushed = 0;
   // Micro-batches pushed through the DDUp loop by the sweep.
   int64_t updates_triggered = 0;
+  // The InsertionReports the sweep collected, keyed by table, each list in
+  // flush order (async: every report completed since the table's last
+  // collection point, as Flush returns them).
+  std::map<std::string, std::vector<core::InsertionReport>> reports;
 };
 
 // Cumulative per-table statistics (Report).
@@ -168,8 +163,8 @@ struct TableReport {
   // Rows the model has absorbed / rows awaiting a flush.
   int64_t rows = 0;
   int64_t buffered_rows = 0;
-  // Bytes the accumulator currently holds for those buffered rows — the
-  // packed (EngineConfig::packed_accumulator) vs plain footprint metric.
+  // Bytes the accumulator holds for those buffered rows: 8 per numeric and
+  // 4 per categorical value.
   int64_t buffered_bytes = 0;
   // Flush threshold.
   int64_t micro_batch_rows = 0;
@@ -277,8 +272,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // Registers an empty-or-populated base table under `name`. The table
-  // needs at least one column; its schema becomes the contract every later
-  // batch is validated against.
+  // needs at least one column and valid values (storage::CheckValuesValid);
+  // its schema becomes the contract every later batch is validated against.
   Status CreateTable(const std::string& name, const storage::Table& base_data,
                      const TableOptions& options = {});
 
@@ -290,7 +285,9 @@ class Engine {
 
   // Buffers `batch` (validated against the table schema; empty is a no-op)
   // and runs the DDUp loop for every completed micro-batch — inline (sync)
-  // or on the table's background update strand (async, non-blocking).
+  // or on the table's background update strand (async, non-blocking). A
+  // NaN/inf numeric value or an out-of-dictionary categorical code is an
+  // InvalidArgument naming the column and row, and buffers nothing.
   StatusOr<IngestResult> Ingest(const std::string& name,
                                 const storage::Table& batch);
 
@@ -302,7 +299,8 @@ class Engine {
   StatusOr<IngestResult> Flush(const std::string& name);
   // Flush for every table; stops at the first error. Async: remainders for
   // all tables are enqueued first, then drained together, so the sweep
-  // overlaps updates across tables.
+  // overlaps updates across tables. Returns every flushed table's
+  // InsertionReports (FlushReport::reports), as Flush would.
   StatusOr<FlushReport> FlushAll();
 
   // The estimate surface. Estimates run over the flushed state;
@@ -422,10 +420,8 @@ class Engine {
     // (sync), which serializes them without a lock.
     mutable std::mutex mu;
     storage::Table base;  // schema contract; rows only until AttachModel
-    // Micro-batch accumulator (base schema): packed columnar buffers when
-    // EngineConfig::packed_accumulator, plain rows otherwise. Drained
-    // front-to-back in both modes with identical bytes.
-    storage::MicroBatchBuffer pending;
+    // Micro-batch accumulator (base schema), drained front to back.
+    storage::Table pending;
     std::unique_ptr<core::UpdatableModel> model;
     std::unique_ptr<core::DdupController> controller;
     bool draining = false;

@@ -10,21 +10,20 @@
 
 namespace ddup::io {
 
-// Section compression codecs for the checkpoint container (DESIGN.md §16)
-// and the packed micro-batch accumulator (storage/packed.h). A codec maps an
-// arbitrary byte string to an encoded byte string and back, bit-exactly:
-// Decompress(Compress(x), x.size()) == x for EVERY input. Codecs carry no
-// per-stream state and no header of their own — the container records the
-// codec id and the uncompressed length next to each section, and the CRC is
-// computed over the ENCODED bytes so corruption is caught before any decode
-// logic runs on hostile data.
+// Section compression codecs for the checkpoint container (DESIGN.md §16).
+// A codec maps an arbitrary byte string to an encoded byte string and back,
+// bit-exactly: Decompress(Compress(x), x.size()) == x for EVERY input.
+// Codecs carry no per-stream state and no header of their own — the
+// container records the codec id and the uncompressed length next to each
+// section, and the CRC is computed over the ENCODED bytes so corruption is
+// caught before any decode logic runs on hostile data.
 //
 // Ids are part of the on-disk format: never renumber or reuse them.
 enum CodecId : uint8_t {
   kCodecRaw = 0,      // passthrough
   kCodecLz = 1,       // LZ4-block-style byte-match compression
   kCodecShuffle = 2,  // 8-byte-plane transpose + lz (doubles / u64 streams)
-  kCodecDelta = 3,    // u64-lane delta + zigzag + varint (integer-ish lanes)
+  // 3 is retired (the former delta codec): never reassign it.
 };
 
 class Codec {
@@ -53,23 +52,6 @@ std::vector<std::string> RegisteredCodecNames();  // registration order
 // The codec CheckpointWriter and Engine::Save use when the caller does not
 // pick one ("compressed by default").
 inline constexpr const char* kDefaultCheckpointCodec = "lz";
-
-// --- Encoding primitives (shared with storage/packed.cc) -------------------
-
-// LEB128 varint: 7 bits per byte, high bit = continuation (max 10 bytes).
-void PutVarint64(uint64_t v, std::string* out);
-// False on truncation or an over-long (>10 byte) encoding; advances *pos
-// past the varint on success.
-bool GetVarint64(std::string_view in, size_t* pos, uint64_t* v);
-
-// Zigzag maps small-magnitude signed values to small unsigned varints.
-inline uint64_t ZigZagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-inline int64_t ZigZagDecode(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
 
 }  // namespace ddup::io
 

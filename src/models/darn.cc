@@ -609,10 +609,14 @@ void Darn::SelectivityBatch(const workload::Query* queries, size_t n,
     }
   }
 
+  // A selectivity is a probability, but the path average of per-column
+  // masses can round past 1 on a query that matches every row; clamping
+  // here keeps every caller's `sel * total_rows_` within the row count.
   for (int q = 0; q < live_n; ++q) {
     double total = 0.0;
     for (int path = 0; path < s; ++path) total += weight(q * s + path, 0);
-    out[live[static_cast<size_t>(q)]] = total / static_cast<double>(s);
+    out[live[static_cast<size_t>(q)]] =
+        std::clamp(total / static_cast<double>(s), 0.0, 1.0);
   }
 
   // Return the sliced scratch at its acquired shape so the next batch's

@@ -58,6 +58,8 @@ StatusOr<api::FlushReport> Cluster::FlushAll() {
     sweep.tables_skipped += report.value().tables_skipped;
     sweep.rows_flushed += report.value().rows_flushed;
     sweep.updates_triggered += report.value().updates_triggered;
+    // Table names are unique across shards, so the maps never collide.
+    sweep.reports.merge(report.value().reports);
   }
   return sweep;
 }

@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/status.h"
@@ -113,6 +114,41 @@ Status CheckSchemaCompatible(const Table& expected, const Table& actual) {
           "schema mismatch at column '" + want.name() +
           "': dictionaries differ (" + std::to_string(want.cardinality()) +
           " vs " + std::to_string(got.cardinality()) + " entries)");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckValuesValid(const Table& table) {
+  const int64_t rows = table.num_rows();
+  for (int i = 0; i < table.num_columns(); ++i) {
+    const Column& c = table.column(i);
+    if (c.size() != rows) {
+      return Status::InvalidArgument(
+          "column '" + c.name() + "' has " + std::to_string(c.size()) +
+          " rows, expected " + std::to_string(rows));
+    }
+    auto at = [&c](size_t row) {
+      return "column '" + c.name() + "' row " + std::to_string(row);
+    };
+    if (c.is_numeric()) {
+      const std::vector<double>& values = c.numeric_values();
+      for (size_t r = 0; r < values.size(); ++r) {
+        if (!std::isfinite(values[r])) {
+          return Status::InvalidArgument(at(r) + ": non-finite value " +
+                                         std::to_string(values[r]));
+        }
+      }
+    } else {
+      const std::vector<int32_t>& codes = c.codes();
+      for (size_t r = 0; r < codes.size(); ++r) {
+        if (codes[r] < 0 || codes[r] >= c.cardinality()) {
+          return Status::InvalidArgument(
+              at(r) + ": code " + std::to_string(codes[r]) +
+              " outside its dictionary of " +
+              std::to_string(c.cardinality()) + " entries");
+        }
+      }
     }
   }
   return Status::OK();

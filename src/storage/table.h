@@ -54,6 +54,13 @@ class Table {
 // surfaces a recoverable error instead of aborting inside Append.
 Status CheckSchemaCompatible(const Table& expected, const Table& actual);
 
+// OK iff every column has num_rows() values, every numeric value is finite
+// and every categorical code indexes its dictionary; otherwise an
+// InvalidArgument naming the first offending column and row. Columns edited
+// through mutable_numeric_values()/mutable_codes() bypass the Column
+// factories' checks, so ingestion runs this before buffering a batch.
+Status CheckValuesValid(const Table& table);
+
 }  // namespace ddup::storage
 
 #endif  // DDUP_STORAGE_TABLE_H_

@@ -259,15 +259,28 @@ TEST(CheckpointV2Test, CompressedSectionsRoundTripAndShrinkTheImage) {
 }
 
 TEST(CheckpointV2Test, UnknownCodecIdRejected) {
-  io::CheckpointWriter writer;
-  writer.AddSection("s", CompressiblePayload());
-  std::string image = writer.Encode();
-  image[FirstCodecByteOffset("s")] = static_cast<char>(200);
-  auto reader = io::CheckpointReader::FromBuffer(image);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().message().find("unknown checkpoint codec id"),
-            std::string::npos)
-      << reader.status().ToString();
+  // 3 is the retired delta codec's id: a section stored with it must take
+  // the same typed refusal as any never-assigned id, on every read path.
+  const std::string path = TempPath("unknown_codec.ckpt");
+  for (uint8_t id : {uint8_t{3}, uint8_t{200}}) {
+    io::CheckpointWriter writer;
+    writer.AddSection("s", CompressiblePayload());
+    std::string image = writer.Encode();
+    image[FirstCodecByteOffset("s")] = static_cast<char>(id);
+    WriteFileRaw(path, image);
+    std::vector<StatusOr<io::CheckpointReader>> readers;
+    readers.push_back(io::CheckpointReader::FromBuffer(image));
+    readers.push_back(io::CheckpointReader::FromFile(path));  // mmap
+    readers.push_back(io::CheckpointReader::FromFileBuffered(path));
+    for (const auto& reader : readers) {
+      ASSERT_FALSE(reader.ok()) << "codec id " << int{id};
+      EXPECT_NE(reader.status().message().find(
+                    "unknown checkpoint codec id " + std::to_string(id)),
+                std::string::npos)
+          << reader.status().ToString();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointV2Test, CorruptedCompressedPayloadFailsCrcBeforeDecode) {

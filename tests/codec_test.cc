@@ -61,17 +61,19 @@ std::vector<std::string> Corpus() {
   return corpus;
 }
 
-TEST(CodecTest, RegistryExposesTheFourBuiltins) {
+TEST(CodecTest, RegistryExposesTheThreeBuiltins) {
   EXPECT_EQ(io::RegisteredCodecNames(),
-            (std::vector<std::string>{"raw", "lz", "shuffle", "delta"}));
-  for (uint8_t id : {io::kCodecRaw, io::kCodecLz, io::kCodecShuffle,
-                     io::kCodecDelta}) {
+            (std::vector<std::string>{"raw", "lz", "shuffle"}));
+  for (uint8_t id : {io::kCodecRaw, io::kCodecLz, io::kCodecShuffle}) {
     const io::Codec* codec = io::FindCodec(id);
     ASSERT_NE(codec, nullptr);
     EXPECT_EQ(codec->id(), id);
     EXPECT_EQ(io::FindCodecByName(codec->name()), codec);
   }
+  // Id 3 belonged to the retired delta codec and stays unassigned.
+  EXPECT_EQ(io::FindCodec(3), nullptr);
   EXPECT_EQ(io::FindCodec(200), nullptr);
+  EXPECT_EQ(io::FindCodecByName("delta"), nullptr);
   EXPECT_EQ(io::FindCodecByName("zstd"), nullptr);
   ASSERT_NE(io::FindCodecByName(io::kDefaultCheckpointCodec), nullptr);
 }
@@ -99,27 +101,12 @@ TEST(CodecTest, LzCompressesRepetitiveInputAtLeastTwofold) {
                             static_cast<double>(encoded.size());
 }
 
-TEST(CodecTest, DeltaCompressesIntegerLanes) {
-  // Delta operates on raw u64 lanes, so its sweet spot is integer-valued
-  // lanes with small steps (row counters, offsets, dictionary codes) —
-  // not IEEE doubles, whose exponent bits make consecutive values far
-  // apart bitwise.
-  std::vector<uint64_t> counters;
-  for (uint64_t i = 0; i < 1000; ++i) counters.push_back(1000000 + i * 3);
-  std::string payload(counters.size() * sizeof(uint64_t), '\0');
-  std::memcpy(payload.data(), counters.data(), payload.size());
-  std::string encoded;
-  io::FindCodecByName("delta")->Compress(payload, &encoded);
-  // Small constant deltas varint-encode to ~1 byte per 8-byte lane.
-  EXPECT_LE(encoded.size() * 4, payload.size());
-}
-
 TEST(CodecTest, HostileEncodedInputsAreRejectedNotCrashed) {
   // Random byte strings fed to every decoder with every plausible expected
   // size: decoders are fully bounds-checked, so the only outcomes are a
   // clean error or a correctly-sized (garbage-free) success.
   Rng rng(7);
-  for (const std::string name : {"lz", "shuffle", "delta"}) {
+  for (const std::string name : {"lz", "shuffle"}) {
     const io::Codec* codec = io::FindCodecByName(name);
     for (int trial = 0; trial < 200; ++trial) {
       std::string hostile(static_cast<size_t>(rng.UniformInt(0, 64)), '\0');
@@ -139,7 +126,7 @@ TEST(CodecTest, HostileEncodedInputsAreRejectedNotCrashed) {
 TEST(CodecTest, TruncatedEncodingsFail) {
   std::string payload;
   for (int i = 0; i < 200; ++i) payload += "abcdefgh";
-  for (const std::string name : {"lz", "shuffle", "delta"}) {
+  for (const std::string name : {"lz", "shuffle"}) {
     const io::Codec* codec = io::FindCodecByName(name);
     std::string encoded;
     codec->Compress(payload, &encoded);
@@ -151,40 +138,6 @@ TEST(CodecTest, TruncatedEncodingsFail) {
             .ok())
         << name;
   }
-}
-
-TEST(CodecTest, VarintRoundTripsAndRejectsOverlongEncodings) {
-  std::string buffer;
-  const std::vector<uint64_t> values = {
-      0,  1,   127,  128,  16383, 16384, (uint64_t{1} << 32) - 1,
-      uint64_t{1} << 63, ~uint64_t{0}};
-  for (uint64_t v : values) io::PutVarint64(v, &buffer);
-  size_t pos = 0;
-  for (uint64_t v : values) {
-    uint64_t decoded = 0;
-    ASSERT_TRUE(io::GetVarint64(buffer, &pos, &decoded));
-    EXPECT_EQ(decoded, v);
-  }
-  EXPECT_EQ(pos, buffer.size());
-
-  uint64_t decoded = 0;
-  size_t bad_pos = 0;
-  EXPECT_FALSE(io::GetVarint64("", &bad_pos, &decoded));  // truncated
-  bad_pos = 0;
-  EXPECT_FALSE(io::GetVarint64(std::string(11, '\x80'), &bad_pos, &decoded))
-      << "over-long encoding must be rejected";
-}
-
-TEST(CodecTest, ZigZagIsAnInvolutionOnExtremes) {
-  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1},
-                    std::numeric_limits<int64_t>::min(),
-                    std::numeric_limits<int64_t>::max()}) {
-    EXPECT_EQ(io::ZigZagDecode(io::ZigZagEncode(v)), v);
-  }
-  // Small magnitudes map to small codes (the property delta packing uses).
-  EXPECT_EQ(io::ZigZagEncode(0), 0u);
-  EXPECT_EQ(io::ZigZagEncode(-1), 1u);
-  EXPECT_EQ(io::ZigZagEncode(1), 2u);
 }
 
 }  // namespace

@@ -154,6 +154,49 @@ TEST(DarnOnDatasetTest, CensusLikeCardinalityEstimation) {
   EXPECT_LT(workload::Summarize(qerrs).median, 3.0);
 }
 
+TEST(DarnOnDatasetTest, MatchAllQueriesNeverExceedTheRowCount) {
+  // Progressive sampling averages products of per-column masses; on a query
+  // that matches every row each mass is 1 only up to rounding, so the
+  // selectivity can land an ulp above 1 and the estimate above the row
+  // count. Both estimate paths must stay within [0, num_rows] and still
+  // agree bit for bit.
+  for (uint64_t seed : {31u, 32u, 33u, 34u, 35u}) {
+    SCOPED_TRACE(seed);
+    storage::Table base = datagen::CensusLike(2000, seed);
+    DarnConfig config = FastConfig();
+    config.epochs = 2;
+    config.seed = seed;
+    Darn model(base, config);
+
+    // The empty query, one whole-domain range per column, and all of those
+    // ranges together.
+    std::vector<workload::Query> queries(1);
+    workload::Query every_column;
+    for (int c = 0; c < base.num_columns(); ++c) {
+      workload::Predicate p{c, workload::CompareOp::kGe,
+                            base.column(c).MinAsDouble()};
+      queries.push_back(workload::Query{});
+      queries.back().predicates = {p};
+      every_column.predicates.push_back(p);
+    }
+    queries.push_back(every_column);
+
+    std::vector<double> batch;
+    ASSERT_TRUE(model.TryEstimateCardinalityBatch(queries, &batch).ok());
+    ASSERT_EQ(batch.size(), queries.size());
+    const double rows = static_cast<double>(base.num_rows());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(workload::Execute(base, queries[i]).value, rows);
+      core::EstimateContext ctx = model.MakeEstimateContext(queries[i]);
+      StatusOr<double> scalar = model.TryEstimateCardinality(queries[i], &ctx);
+      ASSERT_TRUE(scalar.ok());
+      EXPECT_LE(scalar.value(), rows) << "query " << i;
+      EXPECT_GE(scalar.value(), 0.0) << "query " << i;
+      EXPECT_EQ(batch[i], scalar.value()) << "query " << i;
+    }
+  }
+}
+
 TEST(DarnUpdateTest, DistillationBeatsFineTuneOnOldData) {
   storage::Table base = TinyJoint(2500, 9);
   Rng rng(10);

@@ -80,6 +80,15 @@ workload::Query AqpRangeQuery(double lo, double hi) {
   return q;
 }
 
+// The number of InsertionReports a FlushAll sweep handed back.
+int64_t ReportCount(const FlushReport& sweep) {
+  int64_t n = 0;
+  for (const auto& [table, reports] : sweep.reports) {
+    n += static_cast<int64_t>(reports.size());
+  }
+  return n;
+}
+
 std::string ModelStateBytes(Engine* engine, const std::string& table) {
   core::UpdatableModel* model = engine->model(table);
   EXPECT_NE(model, nullptr);
@@ -181,6 +190,7 @@ TEST(EngineConcurrencyTest, StressedAsyncEngineMatchesSyncReplay) {
 
   auto sweep = async_engine.FlushAll();
   ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  EXPECT_EQ(ReportCount(sweep.value()), sweep.value().updates_triggered);
   EXPECT_FALSE(estimate_failed.load());
   EXPECT_GT(estimates_served.load(), 0);
 
@@ -195,6 +205,8 @@ TEST(EngineConcurrencyTest, StressedAsyncEngineMatchesSyncReplay) {
   }
   auto sync_sweep = sync_engine.FlushAll();
   ASSERT_TRUE(sync_sweep.ok());
+  EXPECT_EQ(ReportCount(sync_sweep.value()),
+            sync_sweep.value().updates_triggered);
 
   // --- Identical final state on every axis ------------------------------
   for (int t = 0; t < kTables; ++t) {
@@ -356,6 +368,37 @@ TEST(EngineConcurrencyTest, AsyncLifecycleStateMachineAndFlushSemantics) {
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty.value().rows_flushed, 0);
   EXPECT_TRUE(empty.value().reports.empty());
+
+  // Hostile values are refused at the call, before anything is buffered or
+  // enqueued (250 rows would have queued two micro-batches).
+  for (bool numeric : {true, false}) {
+    storage::Table hostile = MakeConditional(25, 75, 250, 8);
+    if (numeric) {
+      (*hostile.mutable_column(1)->mutable_numeric_values())[7] = std::nan("");
+    } else {
+      (*hostile.mutable_column(0)->mutable_codes())[7] = 5;
+    }
+    auto refused = engine.Ingest("t", hostile);
+    ASSERT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("row 7"), std::string::npos);
+    auto after = engine.Report("t");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value().buffered_rows, 0);
+    EXPECT_EQ(after.value().backlog_batches, 0);
+    EXPECT_EQ(after.value().rows, 540);
+  }
+
+  // FlushAll returns the reports it collected: two batches that ran in the
+  // background plus the flushed remainder, keyed by table.
+  ASSERT_TRUE(engine.Ingest("t", MakeConditional(25, 75, 250, 9)).ok());
+  auto sweep = engine.FlushAll();
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  EXPECT_EQ(sweep.value().updates_triggered, 3);
+  EXPECT_EQ(ReportCount(sweep.value()), 3);
+  ASSERT_EQ(sweep.value().reports.at("t").size(), 3u);
+  EXPECT_EQ(sweep.value().reports.at("t")[2].new_rows, 10);
+  auto served = engine.EstimateAqp("t", AqpRangeQuery(10.0, 70.0));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
 
   // An async engine checkpoint restores into a sync engine bit-identically
   // (Save quiesced, so there is nothing in flight to lose).

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,6 +33,34 @@ storage::Table MakeConditional(double m0, double m1, int64_t n, uint64_t seed) {
   t.AddColumn(storage::Column::Categorical("x", codes, {"k0", "k1"}));
   t.AddColumn(storage::Column::Numeric("y", y));
   return t;
+}
+
+// Batches Ingest must refuse: `n` rows with one non-finite value or one
+// out-of-dictionary code planted at row 7, written through the mutable
+// column accessors that bypass the Column factories' checks.
+std::vector<storage::Table> HostileBatches(int64_t n) {
+  std::vector<storage::Table> out;
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    storage::Table t = MakeConditional(25, 75, n, 41);
+    (*t.mutable_column(1)->mutable_numeric_values())[7] = bad;
+    out.push_back(std::move(t));
+  }
+  for (int32_t bad : {2, -1}) {
+    storage::Table t = MakeConditional(25, 75, n, 41);
+    (*t.mutable_column(0)->mutable_codes())[7] = bad;
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+std::string ModelStateBytes(Engine* engine, const std::string& table) {
+  io::Serializer out;
+  core::UpdatableModel* model = engine->model(table);
+  EXPECT_NE(model, nullptr);
+  if (model != nullptr) {
+    EXPECT_TRUE(model->SaveState(&out).ok());
+  }
+  return out.Take();
 }
 
 ModelSpec FastMdnSpec() {
@@ -200,6 +229,34 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().buffered_rows, 0);
 
+  // Hostile values are refused before anything is buffered. At 120 rows
+  // an accepted batch would have pushed a full micro-batch through the
+  // loop; the refusal leaves the table exactly as it was.
+  for (const storage::Table& hostile : HostileBatches(120)) {
+    auto refused = engine.Ingest("t", hostile);
+    ASSERT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("row 7"), std::string::npos)
+        << refused.status().ToString();
+    auto after = engine.Report("t");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value().rows, report.value().rows);
+    EXPECT_EQ(after.value().buffered_rows, 0);
+    EXPECT_EQ(after.value().insertions, 0);
+  }
+  storage::Table ragged = MakeConditional(25, 75, 120, 42);
+  ragged.mutable_column(1)->mutable_numeric_values()->push_back(1.0);
+  auto ragged_refused = engine.Ingest("t", ragged);
+  EXPECT_EQ(ragged_refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ragged_refused.status().message().find("has 121 rows"),
+            std::string::npos)
+      << ragged_refused.status().ToString();
+  EXPECT_EQ(engine.CreateTable("hostile", HostileBatches(120)[0]).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine.Flush("t").ok());
+  auto served = engine.EstimateAqp("t", RangeCountQuery(0, 100));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(std::isfinite(served.value()));
+
   // An MDN does not serve cardinality estimates.
   auto card = engine.EstimateCardinality("t", RangeCountQuery(0, 100));
   EXPECT_EQ(card.status().code(), StatusCode::kFailedPrecondition);
@@ -238,6 +295,10 @@ TEST(EngineTest, MicroBatchingDecouplesIngestFromDetection) {
   ASSERT_TRUE(trickle.ok());
   EXPECT_EQ(trickle.value().rows_flushed, 0);
   EXPECT_EQ(trickle.value().rows_buffered, 60);
+  auto buffered = engine.Report("t");
+  ASSERT_TRUE(buffered.ok());
+  // cond schema: one categorical (4-byte code) + one numeric (8 bytes).
+  EXPECT_EQ(buffered.value().buffered_bytes, 60 * 12);
 
   // Oversize batch: 60 buffered + 250 new = 3 micro-batches + 10 left.
   auto oversize = engine.Ingest("t", MakeConditional(25, 75, 250, 7));
@@ -270,6 +331,7 @@ TEST(EngineTest, MicroBatchingDecouplesIngestFromDetection) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().rows, 710);
   EXPECT_EQ(report.value().buffered_rows, 0);
+  EXPECT_EQ(report.value().buffered_bytes, 0);
   EXPECT_EQ(report.value().insertions, 4);
   EXPECT_EQ(report.value().insertions,
             report.value().ood_updates + report.value().finetunes +
@@ -298,6 +360,10 @@ TEST(EngineTest, FlushAllReportsWorkAndShortCircuitsEmptyTables) {
   EXPECT_EQ(sweep.value().tables_skipped, 1);
   EXPECT_EQ(sweep.value().rows_flushed, 30);
   EXPECT_EQ(sweep.value().updates_triggered, 1);
+  // The sweep hands back the DDUp decision for every batch it flushed.
+  ASSERT_EQ(sweep.value().reports.size(), 1u);
+  ASSERT_EQ(sweep.value().reports.at("busy").size(), 1u);
+  EXPECT_EQ(sweep.value().reports.at("busy")[0].new_rows, 30);
 
   // Everything drained: the next sweep touches nothing.
   auto empty = engine.FlushAll();
@@ -305,6 +371,7 @@ TEST(EngineTest, FlushAllReportsWorkAndShortCircuitsEmptyTables) {
   EXPECT_EQ(empty.value().tables_flushed, 0);
   EXPECT_EQ(empty.value().tables_skipped, 2);
   EXPECT_EQ(empty.value().updates_triggered, 0);
+  EXPECT_TRUE(empty.value().reports.empty());
 }
 
 TEST(EngineTest, MultiTableLifecycleWithMixedModelKinds) {
@@ -385,6 +452,7 @@ TEST(EngineTest, SaveLoadRoundTripsBitIdentically) {
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a.value().rows, b.value().rows);
     EXPECT_EQ(a.value().buffered_rows, b.value().buffered_rows);
+    EXPECT_EQ(a.value().buffered_bytes, b.value().buffered_bytes);
     EXPECT_EQ(a.value().micro_batch_rows, b.value().micro_batch_rows);
     EXPECT_EQ(a.value().insertions, b.value().insertions);
     EXPECT_EQ(a.value().ood_updates, b.value().ood_updates);
@@ -410,6 +478,9 @@ TEST(EngineTest, SaveLoadRoundTripsBitIdentically) {
   EXPECT_EQ(cont_a.value().reports[0].test.is_ood,
             cont_b.value().reports[0].test.is_ood);
   EXPECT_EQ(cont_a.value().reports[0].action, cont_b.value().reports[0].action);
+  // The restored accumulator drained the same rows into the same model.
+  EXPECT_EQ(ModelStateBytes(&engine, "aqp"),
+            ModelStateBytes(loaded.value().get(), "aqp"));
 
   std::remove(path.c_str());
 }
@@ -651,15 +722,21 @@ TEST(EngineTest, CheckpointCodecKnob) {
   ASSERT_TRUE(from_raw.value()->Save(resaved_path).ok());
   EXPECT_EQ(FileSize(resaved_path), FileSize(raw_path));
 
-  EngineConfig bad = config;
-  bad.checkpoint.codec = "zstd";
-  Engine bad_engine(bad);
-  ASSERT_TRUE(
-      bad_engine.CreateTable("t", MakeConditional(25, 75, 60, 33)).ok());
-  Status st = bad_engine.Save(TempPath("codec_bad.ckpt"));
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("unknown checkpoint codec"), std::string::npos);
+  // "delta" was a registered codec until it was retired.
+  for (const std::string codec : {"zstd", "delta"}) {
+    EngineConfig bad = config;
+    bad.checkpoint.codec = codec;
+    Engine bad_engine(bad);
+    ASSERT_TRUE(
+        bad_engine.CreateTable("t", MakeConditional(25, 75, 60, 33)).ok());
+    Status st = bad_engine.Save(TempPath("codec_bad.ckpt"));
+    ASSERT_FALSE(st.ok()) << codec;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("unknown checkpoint codec '" + codec +
+                                "'; registered codecs: raw, lz, shuffle"),
+              std::string::npos)
+        << st.ToString();
+  }
 
   std::remove(default_path.c_str());
   std::remove(raw_path.c_str());

@@ -520,6 +520,25 @@ TEST(ClusterTest, SurfaceRoutesAndAggregatesAcrossShards) {
   EXPECT_EQ(cluster.TableNames(),
             (std::vector<std::string>{"alpha", "beta", "delta", "gamma"}));
 
+  // Hostile values are refused by the owning shard before anything is
+  // buffered: the table's report does not move.
+  for (const std::string& name : names) {
+    storage::Table inf_value = MakeConditional(25, 75, 150, 5);
+    (*inf_value.mutable_column(1)->mutable_numeric_values())[3] = HUGE_VAL;
+    storage::Table bad_code = MakeConditional(25, 75, 150, 5);
+    (*bad_code.mutable_column(0)->mutable_codes())[3] = 2;
+    for (const storage::Table& hostile : {inf_value, bad_code}) {
+      auto refused = cluster.Ingest(name, hostile);
+      ASSERT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(refused.status().message().find("row 3"), std::string::npos);
+      auto report = cluster.Report(name);
+      ASSERT_TRUE(report.ok());
+      EXPECT_EQ(report.value().rows, 200);
+      EXPECT_EQ(report.value().buffered_rows, 0);
+      EXPECT_EQ(report.value().backlog_batches, 0);
+    }
+  }
+
   for (size_t i = 0; i < names.size(); ++i) {
     ASSERT_TRUE(
         cluster.Ingest(names[i], MakeConditional(70, 30, 150, 70 + i)).ok());
@@ -529,11 +548,24 @@ TEST(ClusterTest, SurfaceRoutesAndAggregatesAcrossShards) {
   ASSERT_TRUE(sweep.ok());
   EXPECT_EQ(sweep.value().tables_flushed, 4);
   EXPECT_EQ(sweep.value().rows_flushed, 4 * 150);
+  // Every shard's reports merge into one map keyed by table.
+  ASSERT_EQ(sweep.value().reports.size(), names.size());
+  int64_t collected = 0;
+  for (const auto& [table, reports] : sweep.value().reports) {
+    collected += static_cast<int64_t>(reports.size());
+  }
+  EXPECT_EQ(collected, sweep.value().updates_triggered);
   for (size_t i = 0; i < names.size(); ++i) {
     auto report = cluster.Report(names[i]);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report.value().rows, 350);
     EXPECT_EQ(report.value().update_priority, static_cast<int>(i));
+    api::EstimateRequest request;
+    request.kind = api::EstimateRequest::Kind::kAqp;
+    request.table = names[i];
+    request.queries.queries = {AqpRangeQuery(20.0, 80.0)};
+    auto served = cluster.Estimate(request);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
   }
 }
 
