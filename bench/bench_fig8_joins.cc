@@ -132,8 +132,11 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
   workload::JoinQueryBatch join_batch = LiftToJoins(queries, setup);
   workload::JoinQuery unpredicated;
   unpredicated.joins = setup.edges;
+  api::EstimateRequest predicated_request;
+  predicated_request.joins = join_batch;
+  api::EstimateRequest unpredicated_request;
+  unpredicated_request.joins.Add(unpredicated);
 
-  api::QueryRouter router(&engine);
   storage::Table accumulated = setup.fact_parts[0];
   std::printf("  %-5s %6s | %-16s %8s %8s %8s | %12s %12s\n", "step", "ood?",
               "combiner", "med-q", "p95-q", "max-q", "exact-join",
@@ -156,17 +159,20 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
     const double exact_join = static_cast<double>(joined.num_rows());
 
     for (const std::string& combiner : api::RegisteredJoinCombiners()) {
-      auto estimates = router.EstimateCardinalityBatch(join_batch, combiner);
+      predicated_request.combiner = combiner;
+      auto estimates = engine.Estimate(predicated_request);
       DDUP_CHECK_MSG(estimates.ok(), estimates.status().message().c_str());
-      auto unpred = router.EstimateCardinality(unpredicated, combiner);
+      unpredicated_request.combiner = combiner;
+      auto unpred = engine.Estimate(unpredicated_request);
       DDUP_CHECK_MSG(unpred.ok(), unpred.status().message().c_str());
+      const double unpred_rows = unpred.value().answers[0];
 
       // Score only queries whose exact join count is positive (the q-error
       // is undefined at zero); report how many were dropped.
       std::vector<double> est_scored, truth_scored;
       for (size_t i = 0; i < truths.size(); ++i) {
         if (truths[i] > 0.0) {
-          est_scored.push_back(estimates.value()[i]);
+          est_scored.push_back(estimates.value().answers[i]);
           truth_scored.push_back(truths[i]);
         }
       }
@@ -174,7 +180,7 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
           workload::Summarize(QErrors(est_scored, truth_scored));
       std::printf("  %-5zu %6s | %-16s %8.2f %8.2f %8.2f | %12.0f %12.1f\n",
                   step, ood ? "yes" : "no", combiner.c_str(), summary.median,
-                  summary.p95, summary.max, exact_join, unpred.value());
+                  summary.p95, summary.max, exact_join, unpred_rows);
 
       JsonObject row;
       row.Set("schema", setup.name)
@@ -187,7 +193,7 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
           .Set("p95_qerror", summary.p95)
           .Set("max_qerror", summary.max)
           .Set("exact_join_rows", exact_join)
-          .Set("estimated_join_rows", unpred.value());
+          .Set("estimated_join_rows", unpred_rows);
       emitter.AddRow(std::move(row));
     }
   }

@@ -137,7 +137,18 @@ int main(int argc, char** argv) {
   auto aqp_queries =
       ddup::workload::GenerateNonEmptyAqpQueries(forest, aqp_config, 12, qrng);
 
-  all_ok &= Check(!engine.EstimateAqp("census", card_queries[0]).ok(),
+  // One request per table: the census CE batch and the forest AQP batch.
+  ddup::api::EstimateRequest card_request;
+  card_request.table = "census";
+  card_request.queries = ddup::workload::QueryBatch(card_queries);
+  ddup::api::EstimateRequest aqp_request;
+  aqp_request.kind = ddup::api::EstimateRequest::Kind::kAqp;
+  aqp_request.table = "forest";
+  aqp_request.queries = ddup::workload::QueryBatch(aqp_queries);
+
+  ddup::api::EstimateRequest wrong_kind = card_request;
+  wrong_kind.kind = ddup::api::EstimateRequest::Kind::kAqp;
+  all_ok &= Check(!engine.Estimate(wrong_kind).ok(),
                   "darn table refuses AQP estimates");
 
   // --- Save -> Load, bit-identical -----------------------------------------
@@ -150,33 +161,15 @@ int main(int argc, char** argv) {
   auto loaded = Engine::Load(path, config);
   if (!Check(loaded.ok(), "load engine")) return 1;
 
-  // Both engines now hold the exact saved state (the DARN's progressive
-  // sampler consumes its RNG stream on every estimate, so the query
-  // sequences must start from the same stream position on both sides).
-  std::vector<double> before;
-  for (const auto& q : card_queries) {
-    auto est = engine.EstimateCardinality("census", q);
-    if (!est.ok()) return 1;
-    before.push_back(est.value());
+  // Both engines now hold the exact saved state, so every estimate must
+  // agree bit for bit.
+  bool identical = true;
+  for (const auto* request : {&card_request, &aqp_request}) {
+    auto before = engine.Estimate(*request);
+    auto after = loaded.value()->Estimate(*request);
+    if (!before.ok() || !after.ok()) return 1;
+    identical &= before.value().answers == after.value().answers;
   }
-  for (const auto& q : aqp_queries) {
-    auto est = engine.EstimateAqp("forest", q);
-    if (!est.ok()) return 1;
-    before.push_back(est.value());
-  }
-
-  std::vector<double> after;
-  for (const auto& q : card_queries) {
-    auto est = loaded.value()->EstimateCardinality("census", q);
-    if (!est.ok()) return 1;
-    after.push_back(est.value());
-  }
-  for (const auto& q : aqp_queries) {
-    auto est = loaded.value()->EstimateAqp("forest", q);
-    if (!est.ok()) return 1;
-    after.push_back(est.value());
-  }
-  bool identical = before == after;
   all_ok &= Check(identical, "reloaded estimates bit-identical");
 
   for (const auto& name : engine.TableNames()) {

@@ -102,36 +102,42 @@ int main() {
   // must reproduce it from the stats snapshots alone.
   ddup::workload::JoinQuery unfiltered;
   unfiltered.joins = query.joins;
+  ddup::api::EstimateRequest unfiltered_request;
+  unfiltered_request.joins.Add(unfiltered);
   for (const std::string& combiner : ddup::api::RegisteredJoinCombiners()) {
-    auto estimate = router.EstimateCardinality(unfiltered, combiner);
+    unfiltered_request.combiner = combiner;
+    auto estimate = engine.Estimate(unfiltered_request);
     if (!Check(estimate.ok(), ("estimate under " + combiner).c_str())) {
       return 1;
     }
+    const double rows = estimate.value().answers[0];
     std::printf("      %-16s unfiltered join -> %.1f rows\n", combiner.c_str(),
-                estimate.value());
-    all_ok &= Check(estimate.value() == 240.0,
+                rows);
+    all_ok &= Check(rows == 240.0,
                     ("clean-FK join exact under " + combiner).c_str());
   }
 
   // With the predicate on: 5 of 10 price values pass, and the SPN sees the
   // marginal exactly, so the combined estimate lands on 120.
-  auto filtered = router.EstimateCardinality(query);
-  if (!Check(filtered.ok(), "filtered join estimate")) return 1;
-  std::printf("      filtered join (o_price <= 40) -> %.1f rows\n",
-              filtered.value());
-
-  // The same call through the structured engine surface.
   ddup::api::EstimateRequest request;
   request.joins.Add(query);
-  auto via_engine = engine.Estimate(request);
-  all_ok &= Check(via_engine.ok() &&
-                      via_engine.value().answers[0] == filtered.value(),
-                  "Engine::Estimate(join shape) matches the router");
+  auto filtered = engine.Estimate(request);
+  if (!Check(filtered.ok(), "filtered join estimate")) return 1;
+  std::printf("      filtered join (o_price <= 40) -> %.1f rows\n",
+              filtered.value().answers[0]);
+
+  // Engine::Estimate runs the router's batch call for the join shape.
+  auto via_router = router.EstimateCardinalityBatch(request.joins);
+  all_ok &= Check(via_router.ok() && via_router.value()[0] ==
+                                         filtered.value().answers[0],
+                  "the router's batch call matches Engine::Estimate");
 
   // --- Typed planning errors -----------------------------------------------
   ddup::workload::JoinQuery bad = query;
   bad.joins.push_back({"orders", "o_price", "suppliers", "s_key"});
-  auto err = router.EstimateCardinality(bad);
+  ddup::api::EstimateRequest bad_request;
+  bad_request.joins.Add(bad);
+  auto err = engine.Estimate(bad_request);
   auto code = ddup::api::PlanErrorFromStatus(err.status());
   all_ok &= Check(!err.ok() && code.has_value() &&
                       code.value() == ddup::api::PlanError::kUnknownTable,

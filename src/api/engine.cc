@@ -17,9 +17,11 @@ namespace ddup::api {
 namespace {
 
 // Version 2 added the per-table resolved detector kind to the manifest;
-// version 3 added the per-table update-worker priority; version 4 adds the
-// checkpoint codec name after the version word (Load still reads v3).
-constexpr uint32_t kManifestVersion = 4;
+// version 3 added the per-table update-worker priority; version 4 added the
+// checkpoint codec name after the version word; version 5 drops the
+// wall-clock detect/update seconds, so the same ingest sequence always
+// writes the same bytes (Load still reads v3 and v4 and skips them).
+constexpr uint32_t kManifestVersion = 5;
 constexpr uint32_t kMinManifestVersion = 3;
 constexpr const char* kManifestSection = "engine";
 
@@ -67,17 +69,6 @@ int ResolveUpdateWorkers(int requested) {
   return std::max(0, DefaultThreadCount() - 1);
 }
 
-// Strips the exec engines' "query 0: " index prefix so the scalar shims
-// keep the historical single-query error messages.
-Status StripBatchPrefix(const Status& status) {
-  constexpr const char kPrefix[] = "query 0: ";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (status.message().rfind(kPrefix, 0) == 0) {
-    return Status(status.code(), status.message().substr(kPrefixLen));
-  }
-  return status;
-}
-
 }  // namespace
 
 const char* ToString(TableServingState state) {
@@ -108,9 +99,28 @@ void Engine::FoldReportLocked(TableState* state,
   }
   state->detect_seconds += report.detect_seconds;
   state->update_seconds += report.update_seconds;
+  state->refresh_seconds += report.offline_refresh_seconds;
 }
 
-Engine::Engine(EngineConfig config) : config_(std::move(config)) {
+Status CheckEstimateRequest(const EstimateRequest& request) {
+  if (request.joins.empty()) return Status::OK();
+  if (!request.table.empty()) {
+    return Status::InvalidArgument(
+        "EstimateRequest sets both the single-table shape (table '" +
+        request.table + "') and join queries; populate exactly one");
+  }
+  if (request.kind == EstimateRequest::Kind::kAqp) {
+    return Status::InvalidArgument(
+        "join requests serve cardinality only; AQP over joins is not "
+        "supported yet (DESIGN.md §14)");
+  }
+  return Status::OK();
+}
+
+Engine::Engine(EngineConfig config)
+    : config_(std::move(config)),
+      exec_(exec::FindEstimatorEngine("vectorized")) {
+  DDUP_CHECK_MSG(exec_ != nullptr, "the vectorized exec engine is missing");
   DDUP_CHECK_MSG(config_.micro_batch_rows > 0,
                  "EngineConfig::micro_batch_rows must be positive");
   DDUP_CHECK_MSG(config_.max_backlog_batches >= 0,
@@ -687,20 +697,13 @@ StatusOr<FlushReport> Engine::FlushAll() {
   return sweep;
 }
 
-// The whole single-table estimate hot path is here: one exec-engine lookup,
-// one registry lookup, one atomic view load, then the batch call — no lock,
-// no dynamic_cast (the interfaces were resolved when the view was
+// The whole single-table estimate hot path is here: one registry lookup,
+// one atomic view load, one value check per query, then the batch call — no
+// lock, no dynamic_cast (the interfaces were resolved when the view was
 // published), no shared mutable state.
 StatusOr<std::vector<double>> Engine::EstimateSingleTable(
     EstimateRequest::Kind kind, const std::string& name,
     const workload::QueryBatch& batch) const {
-  const exec::EstimatorEngine* engine =
-      exec::FindEstimatorEngine(config_.estimate_engine);
-  if (engine == nullptr) {
-    return Status::InvalidArgument(
-        "unknown estimate engine '" + config_.estimate_engine +
-        "'; registered: " + JoinedNames(exec::RegisteredEstimatorEngines()));
-  }
   StatusOr<std::shared_ptr<TableState>> found = FindTable(name);
   if (!found.ok()) return found.status();
   const TableState* state = found.value().get();
@@ -710,6 +713,13 @@ StatusOr<std::vector<double>> Engine::EstimateSingleTable(
     return Status::FailedPrecondition("table '" + name +
                                       "' has no model attached yet");
   }
+  for (size_t i = 0; i < batch.queries.size(); ++i) {
+    Status valid = workload::CheckQueryValues(state->base, batch.queries[i]);
+    if (!valid.ok()) {
+      return Status(valid.code(),
+                    "query " + std::to_string(i) + ": " + valid.message());
+    }
+  }
   std::vector<double> out;
   if (kind == EstimateRequest::Kind::kCardinality) {
     if (view->card == nullptr) {
@@ -718,7 +728,7 @@ StatusOr<std::vector<double>> Engine::EstimateSingleTable(
           "' does not serve cardinality estimates");
     }
     DDUP_RETURN_IF_ERROR(
-        engine->EstimateCardinalityBatch(*view->card, batch, &out));
+        exec_->EstimateCardinalityBatch(*view->card, batch, &out));
   } else {
     if (view->aqp == nullptr) {
       return Status::FailedPrecondition("model kind '" + state->spec.kind +
@@ -726,83 +736,25 @@ StatusOr<std::vector<double>> Engine::EstimateSingleTable(
                                         "' does not serve AQP estimates");
     }
     DDUP_RETURN_IF_ERROR(
-        engine->EstimateAqpBatch(*view->aqp, state->base, batch, &out));
+        exec_->EstimateAqpBatch(*view->aqp, state->base, batch, &out));
   }
   return out;
 }
 
 StatusOr<EstimateResponse> Engine::Estimate(
     const EstimateRequest& request) const {
-  const bool join = !request.joins.empty();
-  if (join && !request.table.empty()) {
-    return Status::InvalidArgument(
-        "EstimateRequest sets both the single-table shape (table '" +
-        request.table + "') and join queries; populate exactly one");
-  }
-  StatusOr<std::vector<double>> answers = Status::OK();
-  if (!join) {
-    // Single-table shape (possibly with an empty or unknown table name —
-    // FindTable reports those, matching the legacy overloads exactly).
-    answers = EstimateSingleTable(request.kind, request.table,
-                                  request.queries);
-  } else if (request.kind == EstimateRequest::Kind::kAqp) {
-    return Status::InvalidArgument(
-        "join requests serve cardinality only; AQP over joins is not "
-        "supported yet (DESIGN.md §14)");
-  } else {
-    answers = QueryRouter(this).EstimateCardinalityBatch(request.joins,
-                                                         request.combiner);
-  }
+  DDUP_RETURN_IF_ERROR(CheckEstimateRequest(request));
+  // Single-table shape (possibly with an empty or unknown table name —
+  // FindTable reports those) or join shape.
+  StatusOr<std::vector<double>> answers =
+      request.joins.empty()
+          ? EstimateSingleTable(request.kind, request.table, request.queries)
+          : QueryRouter(this).EstimateCardinalityBatch(request.joins,
+                                                       request.combiner);
   if (!answers.ok()) return answers.status();
   EstimateResponse response;
   response.answers = std::move(answers).value();
   return response;
-}
-
-// --- Legacy shims (see engine.h for the migration table) -------------------
-
-StatusOr<double> Engine::EstimateCardinality(
-    const std::string& name, const workload::Query& query) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kCardinality;
-  request.table = name;
-  request.queries.Add(query);
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return StripBatchPrefix(response.status());
-  return response.value().answers[0];
-}
-
-StatusOr<double> Engine::EstimateAqp(const std::string& name,
-                                     const workload::Query& query) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kAqp;
-  request.table = name;
-  request.queries.Add(query);
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return StripBatchPrefix(response.status());
-  return response.value().answers[0];
-}
-
-StatusOr<std::vector<double>> Engine::EstimateCardinalityBatch(
-    const std::string& name, const workload::QueryBatch& batch) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kCardinality;
-  request.table = name;
-  request.queries = batch;
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return std::move(response).value().answers;
-}
-
-StatusOr<std::vector<double>> Engine::EstimateAqpBatch(
-    const std::string& name, const workload::QueryBatch& batch) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kAqp;
-  request.table = name;
-  request.queries = batch;
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return std::move(response).value().answers;
 }
 
 StatusOr<TableReport> Engine::Report(const std::string& name) const {
@@ -843,6 +795,7 @@ StatusOr<TableReport> Engine::Report(const std::string& name) const {
   report.kept_stale = state->kept_stale;
   report.detect_seconds = state->detect_seconds;
   report.update_seconds = state->update_seconds;
+  report.refresh_seconds = state->refresh_seconds;
   report.async_batches = state->async_batches;
   report.queue_seconds = state->queue_seconds;
   report.snapshot_publishes = state->snapshot_publishes;
@@ -909,8 +862,6 @@ Engine::TableCheckpoint Engine::CheckpointTable(const TableState& state) {
     manifest.WriteI64(state.ood_updates);
     manifest.WriteI64(state.finetunes);
     manifest.WriteI64(state.kept_stale);
-    manifest.WriteDouble(state.detect_seconds);
-    manifest.WriteDouble(state.update_seconds);
     manifest.WriteTable(state.base);
     manifest.WriteTable(state.pending);
     manifest.WriteBool(state.model != nullptr);
@@ -1029,8 +980,10 @@ StatusOr<std::unique_ptr<Engine>> Engine::Load(const std::string& path,
     state->ood_updates = manifest.ReadI64();
     state->finetunes = manifest.ReadI64();
     state->kept_stale = manifest.ReadI64();
-    state->detect_seconds = manifest.ReadDouble();
-    state->update_seconds = manifest.ReadDouble();
+    if (version < 5) {
+      manifest.ReadDouble();  // detect_seconds
+      manifest.ReadDouble();  // update_seconds
+    }
     state->base = manifest.ReadTable();
     state->pending = manifest.ReadTable();
     bool has_model = manifest.ReadBool();

@@ -20,6 +20,10 @@
 #include "workload/join_query.h"
 #include "workload/query.h"
 
+namespace ddup::exec {
+class EstimatorEngine;
+}  // namespace ddup::exec
+
 namespace ddup::serving {
 class AdmissionPolicy;
 }  // namespace ddup::serving
@@ -58,12 +62,6 @@ struct EngineConfig {
   //      (DefaultThreadCount() - 1, see common/thread_pool.h), so
   //      DDUP_THREADS=1 and single-core environments resolve to synchronous.
   int update_workers = 0;
-  // Execution engine behind EstimateCardinalityBatch/EstimateAqpBatch
-  // (src/exec): "vectorized" drives the models' batched entry points,
-  // "reference" loops the scalar path. Both are byte-identical (enforced by
-  // the differential harness); the scalar Estimate* calls do not go through
-  // an engine. Validated on first batch call (InvalidArgument if unknown).
-  std::string estimate_engine = "vectorized";
   // Engine-side admission control (DESIGN.md §15). With a positive bound,
   // each table's queued micro-batch updates are capped at
   // max_backlog_batches and an overloaded Ingest is resolved by the named
@@ -75,7 +73,7 @@ struct EngineConfig {
   // callers throttle themselves off TableReport::backlog_batches. Only
   // meaningful with update_workers != 0 (the synchronous engine has no
   // backlog). An unknown policy name surfaces as InvalidArgument on the
-  // first bounded Ingest, like estimate_engine.
+  // first bounded Ingest.
   int64_t max_backlog_batches = 0;
   std::string admission_policy = "block";
   // How Engine::Save (and serving::Cluster::Save) writes checkpoint
@@ -173,8 +171,11 @@ struct TableReport {
   int64_t ood_updates = 0;
   int64_t finetunes = 0;
   int64_t kept_stale = 0;
+  // Seconds in drift tests, distill/fine-tune and offline refreshes since
+  // construction or Load (not persisted, so checkpoints are deterministic).
   double detect_seconds = 0.0;
   double update_seconds = 0.0;
+  double refresh_seconds = 0.0;
   // Detector state after the last offline refresh.
   double bootstrap_mean = 0.0;
   double bootstrap_std = 0.0;
@@ -193,11 +194,13 @@ struct TableReport {
   int64_t coalesced_groups = 0;     // multi-batch group tasks enqueued
 };
 
-// One estimate call, structured. This is the single entry point behind
-// every estimate the engine serves (DESIGN.md §14): single-table scalar,
+// One estimate call, structured. This is the only entry point for every
+// estimate the engine serves (DESIGN.md §14): single-table scalar,
 // single-table batch, and multi-table join all flow through
-// Engine::Estimate(const EstimateRequest&); the string-keyed overloads
-// below are thin shims over it.
+// Engine::Estimate(const EstimateRequest&) (and serving::Cluster::Estimate,
+// which routes the same request). A scalar estimate is a one-query request
+// whose answer is answers[0]; its errors carry the batch's "query 0: " (or
+// "join query 0: ") prefix like any other batch error.
 //
 // Exactly one of the two shapes must be populated:
 //   - Single-table: `table` names a registered table and `queries` holds
@@ -224,10 +227,16 @@ struct EstimateRequest {
 
 struct EstimateResponse {
   // answers[i] corresponds to queries.queries[i] (single-table) or
-  // joins.queries[i] (join). Each answer is bit-identical to the scalar
-  // call for that query.
+  // joins.queries[i] (join). Each answer is bit-identical to a one-query
+  // request for that query.
   std::vector<double> answers;
 };
+
+// The request-shape rules Engine::Estimate and serving::Cluster::Estimate
+// share: InvalidArgument when both shapes are set, or when a join request
+// asks for AQP. OK for any single-table request (its table and queries are
+// checked where it is served).
+Status CheckEstimateRequest(const EstimateRequest& request);
 
 // The public multi-table facade over the DDUp loop: a registry of named
 // tables, each bound to a model built through the ModelFactory and driven
@@ -239,14 +248,14 @@ struct EstimateResponse {
 // granularity from detection granularity: rows accumulate per table and
 // the DDUp loop runs once per full micro-batch (micro_batch_rows), plus
 // once for the remainder on an explicit Flush. Buffered rows are invisible
-// to the model (and to Estimate*) until flushed.
+// to the model (and to Estimate) until flushed.
 //
 // Concurrency (DESIGN.md §11). With update_workers != 0 the engine is a
 // concurrent serving core: the registry is striped (kRegistryStripes
 // locks), each table runs a SERVING/UPDATING/DRAINING state machine, full
 // micro-batches execute on a per-table FIFO strand of a background
 // TaskExecutor (updates for one table never reorder or overlap; distinct
-// tables update in parallel), and Estimate* serves from the last published
+// tables update in parallel), and Estimate serves from the last published
 // read-only model snapshot — an atomic shared_ptr swap per completed
 // batch, so readers never block on training. Ingest/Estimate/Flush/Report
 // are thread-safe against each other and against running updates; the
@@ -318,45 +327,15 @@ class Engine {
   // Answers are deterministic per query regardless of thread interleaving,
   // batch size or call order.
   //
-  // Single-table batches execute on the exec engine named in
-  // EngineConfig::estimate_engine — "vectorized" amortizes per-call setup
-  // (weight freezing, scratch, kernel dispatch) across the batch and runs
-  // the models' fused GEMM paths. Join batches are planned and fanned out
-  // per table by the QueryRouter (api/router.h), then combined under
-  // request.combiner. See EstimateRequest for the request shapes.
+  // Single-table batches are checked against the table schema
+  // (workload::CheckQueryValues: a hostile value is an InvalidArgument
+  // naming the query, column and value), then run on the "vectorized" exec
+  // engine (src/exec), which amortizes per-call setup (weight freezing,
+  // scratch, kernel dispatch) across the batch and runs the models' fused
+  // GEMM paths. Join batches are planned and fanned out per table by the
+  // QueryRouter (api/router.h), then combined under request.combiner. See
+  // EstimateRequest for the request shapes.
   StatusOr<EstimateResponse> Estimate(const EstimateRequest& request) const;
-
-  // --- Legacy string-keyed estimate overloads -----------------------------
-  //
-  // DEPRECATED shims over Estimate(EstimateRequest). They remain
-  // byte-identical to their historical behavior — same answers bit-for-bit,
-  // same error messages (scalar errors carry no "query 0: " batch prefix) —
-  // and are pinned that way in tests/engine_test.cc, but new call sites
-  // should build an EstimateRequest instead.
-  //
-  // Migration:
-  //   EstimateCardinality(t, q)        -> {kind=kCardinality, table=t,
-  //                                        queries={q}}, answers[0]
-  //   EstimateCardinalityBatch(t, b)   -> {kind=kCardinality, table=t,
-  //                                        queries=b}
-  //   EstimateAqp(t, q)                -> {kind=kAqp, table=t, queries={q}},
-  //                                        answers[0]
-  //   EstimateAqpBatch(t, b)           -> {kind=kAqp, table=t, queries=b}
-  // Multi-table queries have no legacy spelling; build the join shape of
-  // EstimateRequest (or use api::QueryRouter directly).
-  //
-  // One historical quirk the shims deliberately do NOT preserve: the old
-  // scalar calls never consulted EngineConfig::estimate_engine, so an
-  // engine configured with an unknown exec-engine name only failed on
-  // batch calls. Scalar shims now validate it too (InvalidArgument).
-  StatusOr<double> EstimateCardinality(const std::string& name,
-                                       const workload::Query& query) const;
-  StatusOr<double> EstimateAqp(const std::string& name,
-                               const workload::Query& query) const;
-  StatusOr<std::vector<double>> EstimateCardinalityBatch(
-      const std::string& name, const workload::QueryBatch& batch) const;
-  StatusOr<std::vector<double>> EstimateAqpBatch(
-      const std::string& name, const workload::QueryBatch& batch) const;
 
   StatusOr<TableReport> Report(const std::string& name) const;
   std::vector<std::string> TableNames() const;  // sorted
@@ -435,6 +414,7 @@ class Engine {
     int64_t kept_stale = 0;
     double detect_seconds = 0.0;
     double update_seconds = 0.0;
+    double refresh_seconds = 0.0;
     int64_t async_batches = 0;
     double queue_seconds = 0.0;
     int64_t snapshot_publishes = 0;
@@ -458,7 +438,7 @@ class Engine {
     std::mutex admission_mu;
     std::condition_variable admission_cv;
 
-    // What Estimate* serves, swapped as one atomic unit (access ONLY via
+    // What Estimate serves, swapped as one atomic unit (access ONLY via
     // std::atomic_load/atomic_store on `serving`): the model handle plus
     // its estimator interface pointers, resolved with dynamic_cast once
     // here so the hot path never casts. Async engines publish a view over
@@ -483,7 +463,7 @@ class Engine {
     // is guarded by mu and folds rows exactly when they leave the
     // accumulator for the DDUp loop (inline drain or strand enqueue), so
     // the snapshot tracks the flushed state the models serve — buffered
-    // rows are invisible here just as they are to Estimate*. Published
+    // rows are invisible here just as they are to Estimate. Published
     // snapshots are immutable; access `stats` ONLY via
     // std::atomic_load/atomic_store (same discipline as `serving`).
     storage::TableStatsBuilder stats_builder;
@@ -514,10 +494,10 @@ class Engine {
       const std::string& name) const;
   bool async() const { return executor_ != nullptr; }
 
-  // Single-table body of Estimate(): resolves the exec engine, the table
-  // and its serving view, then runs the whole batch through the exec
-  // engine. Batch-execution errors carry the exec engines' "query <i>: "
-  // prefix; the scalar shims strip it for batch-of-1 calls.
+  // Single-table body of Estimate(): resolves the table and its serving
+  // view, checks every query's values against the schema, then runs the
+  // whole batch through the exec engine. Every error about one query
+  // carries the "query <i>: " prefix.
   StatusOr<std::vector<double>> EstimateSingleTable(
       EstimateRequest::Kind kind, const std::string& name,
       const workload::QueryBatch& batch) const;
@@ -578,6 +558,8 @@ class Engine {
   bool NothingToFlushLocked(const TableState& state) const;
 
   EngineConfig config_;
+  // The exec engine every estimate runs on ("vectorized"), resolved once.
+  const exec::EstimatorEngine* exec_ = nullptr;
   // Codec name recorded in the manifest this engine was loaded from ("" for
   // a fresh engine); Save re-uses it when config_.checkpoint.codec is empty.
   std::string loaded_codec_;

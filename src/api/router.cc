@@ -16,7 +16,7 @@ constexpr PlanError kAllPlanErrors[] = {
     PlanError::kEmptyQuery,           PlanError::kUnknownTable,
     PlanError::kUnknownColumn,        PlanError::kJoinTypeMismatch,
     PlanError::kDisconnectedJoinGraph, PlanError::kCyclicJoinGraph,
-    PlanError::kUnsupportedAggregate,
+    PlanError::kUnsupportedAggregate, PlanError::kInvalidValue,
 };
 
 std::string JoinedNames(const std::vector<std::string>& names) {
@@ -30,16 +30,6 @@ std::string JoinedNames(const std::vector<std::string>& names) {
 
 const char* TypeName(storage::ColumnType type) {
   return type == storage::ColumnType::kNumeric ? "numeric" : "categorical";
-}
-
-// Strips the batch "join query 0: " prefix for the scalar call.
-Status StripBatchPrefix(const Status& status) {
-  constexpr const char kPrefix[] = "join query 0: ";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (status.message().rfind(kPrefix, 0) == 0) {
-    return Status(status.code(), status.message().substr(kPrefixLen));
-  }
-  return status;
 }
 
 Status PrefixedError(size_t index, const Status& status) {
@@ -122,6 +112,8 @@ const char* ToString(PlanError error) {
       return "cyclic-join-graph";
     case PlanError::kUnsupportedAggregate:
       return "unsupported-aggregate";
+    case PlanError::kInvalidValue:
+      return "invalid-value";
   }
   return "unknown";
 }
@@ -189,8 +181,14 @@ StatusOr<JoinPlan> QueryRouter::Plan(const workload::JoinQuery& query) const {
   }
 
   // Resolve every referenced table's schema (column names + types) from its
-  // published stats snapshot — plan time takes no table lock either.
-  std::map<std::string, std::shared_ptr<const storage::TableStats>> schemas;
+  // published stats snapshot — plan time takes no table lock either. The
+  // value check reads `base`, which is fixed once setup is done (registered
+  // tables are never removed, so the pointer stays valid).
+  struct Schema {
+    std::shared_ptr<const storage::TableStats> stats;
+    const storage::Table* base = nullptr;
+  };
+  std::map<std::string, Schema> schemas;
   for (const std::string& t : plan.tables) {
     StatusOr<std::shared_ptr<Engine::TableState>> found =
         Route(t)->FindTable(t);
@@ -198,12 +196,13 @@ StatusOr<JoinPlan> QueryRouter::Plan(const workload::JoinQuery& query) const {
       return MakePlanError(PlanError::kUnknownTable,
                            "no table named '" + t + "' is registered");
     }
-    schemas[t] = std::atomic_load(&found.value()->stats);
+    schemas[t] = {std::atomic_load(&found.value()->stats),
+                  &found.value()->base};
   }
 
   // Predicate columns are indices into their table's schema.
   for (const workload::BoundPredicate& p : canonical.predicates) {
-    const storage::TableStats& schema = *schemas.at(p.table);
+    const storage::TableStats& schema = *schemas.at(p.table).stats;
     if (p.predicate.column < 0 ||
         p.predicate.column >= static_cast<int>(schema.columns.size())) {
       return MakePlanError(
@@ -216,8 +215,8 @@ StatusOr<JoinPlan> QueryRouter::Plan(const workload::JoinQuery& query) const {
 
   // Edge columns are names; resolve and type-check both sides.
   for (const workload::JoinEdge& e : canonical.joins) {
-    const storage::TableStats& left = *schemas.at(e.left_table);
-    const storage::TableStats& right = *schemas.at(e.right_table);
+    const storage::TableStats& left = *schemas.at(e.left_table).stats;
+    const storage::TableStats& right = *schemas.at(e.right_table).stats;
     const int li = left.ColumnIndex(e.left_column);
     if (li < 0) {
       return MakePlanError(PlanError::kUnknownColumn,
@@ -308,17 +307,15 @@ StatusOr<JoinPlan> QueryRouter::Plan(const workload::JoinQuery& query) const {
     }
     plan.subqueries.back().query.predicates.push_back(p.predicate);
   }
+  for (const PlannedSubquery& sub : plan.subqueries) {
+    Status valid =
+        workload::CheckQueryValues(*schemas.at(sub.table).base, sub.query);
+    if (!valid.ok()) {
+      return MakePlanError(PlanError::kInvalidValue,
+                           "table '" + sub.table + "': " + valid.message());
+    }
+  }
   return plan;
-}
-
-StatusOr<double> QueryRouter::EstimateCardinality(
-    const workload::JoinQuery& query, const std::string& combiner) const {
-  workload::JoinQueryBatch batch;
-  batch.Add(query);
-  StatusOr<std::vector<double>> answers =
-      EstimateCardinalityBatch(batch, combiner);
-  if (!answers.ok()) return StripBatchPrefix(answers.status());
-  return answers.value()[0];
 }
 
 StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
@@ -331,15 +328,6 @@ StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
         "unknown join combiner '" + name +
         "'; registered: " + JoinedNames(RegisteredJoinCombiners()));
   }
-  const exec::EstimatorEngine* exec_engine =
-      exec::FindEstimatorEngine(engine_->config_.estimate_engine);
-  if (exec_engine == nullptr) {
-    return Status::InvalidArgument(
-        "unknown estimate engine '" + engine_->config_.estimate_engine +
-        "'; registered: " +
-        JoinedNames(exec::RegisteredEstimatorEngines()));
-  }
-
   // Plan every query first — fail fast before any estimate runs.
   std::vector<JoinPlan> plans;
   plans.reserve(batch.queries.size());
@@ -393,7 +381,7 @@ StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
           "model kind '" + snap.model_kind + "' on table '" + table +
           "' does not serve cardinality estimates");
     }
-    Status run = exec_engine->EstimateCardinalityBatch(
+    Status run = engine_->exec_->EstimateCardinalityBatch(
         *snap.view->card, snap.subqueries, &snap.answers);
     if (!run.ok()) {
       return Status(run.code(), "table '" + table + "': " + run.message());

@@ -29,6 +29,7 @@ enum class PlanError {
   kDisconnectedJoinGraph, // >1 referenced table not connected by the edges
   kCyclicJoinGraph,       // the edges contain a cycle (incl. self-joins)
   kUnsupportedAggregate,  // join queries serve COUNT only (DESIGN.md §14)
+  kInvalidValue,          // a predicate value breaks workload::CheckQueryValues
 };
 
 // Stable tag for the "[plan:<tag>]" message prefix, e.g. "unknown-table".
@@ -140,8 +141,8 @@ struct JoinPlan {
 //
 // Batched execution: all subqueries that land on one table — across every
 // join query in the batch — run as a single workload::QueryBatch through
-// the Engine's configured exec::EstimatorEngine, so the PR 7 vectorized
-// paths amortize across the join workload. Answers are deterministic and
+// the vectorized exec engine (src/exec), so the models' batched paths
+// amortize across the join workload. Answers are deterministic and
 // batch-/order-invariant per join query (canonical subqueries keep the
 // per-query RNG streams stable; see workload/join_query.h).
 //
@@ -155,32 +156,27 @@ class QueryRouter {
   // Cross-shard routing (serving::Cluster): `route` maps a table name to
   // the Engine shard that owns it — the router fans each planned per-table
   // subquery batch out to its owner, so one join query can span shards.
-  // `config_source` supplies the shared engine-level knobs (the exec
-  // estimate engine); every shard of a cluster is built from one
-  // EngineConfig, so any shard serves. A resolver returning nullptr for a
-  // table falls back to `config_source`, whose registry lookup then yields
-  // the standard [plan:unknown-table] error.
-  QueryRouter(const Engine* config_source,
+  // A resolver returning nullptr for a table falls back to `fallback`,
+  // whose registry lookup then yields the standard [plan:unknown-table]
+  // error.
+  QueryRouter(const Engine* fallback,
               std::function<const Engine*(const std::string&)> route)
-      : engine_(config_source), route_(std::move(route)) {}
+      : engine_(fallback), route_(std::move(route)) {}
 
   // Validates and plans `query` against the registered tables: resolves
   // every referenced table and column, type-checks the equi-join columns,
   // checks the join graph is a tree, splits the predicates into canonical
-  // per-table subqueries and orients the edges away from the root. Fails
-  // with a typed plan error (see PlanError) — never with ad-hoc strings.
+  // per-table subqueries (each checked with workload::CheckQueryValues) and
+  // orients the edges away from the root. Fails with a typed plan error
+  // (see PlanError) — never with ad-hoc strings.
   StatusOr<JoinPlan> Plan(const workload::JoinQuery& query) const;
 
-  // Plans and executes one join-cardinality estimate under the named
-  // combiner ("" = kDefaultJoinCombiner). FailedPrecondition if a
-  // predicated table has no model attached or its model kind does not
-  // serve cardinality estimates.
-  StatusOr<double> EstimateCardinality(const workload::JoinQuery& query,
-                                       const std::string& combiner = {}) const;
-
-  // Batch variant: answers[i] corresponds to batch.queries[i], each
-  // bit-identical to the scalar call for that query. Fails fast on the
-  // first invalid query; the error is prefixed "join query <i>: ".
+  // Plans and executes join-cardinality estimates under the named combiner
+  // ("" = kDefaultJoinCombiner): answers[i] corresponds to batch.queries[i],
+  // each bit-identical to a one-query batch of that query. Fails fast on
+  // the first invalid query; the error is prefixed "join query <i>: ".
+  // FailedPrecondition if a predicated table has no model attached or its
+  // model kind does not serve cardinality estimates.
   StatusOr<std::vector<double>> EstimateCardinalityBatch(
       const workload::JoinQueryBatch& batch,
       const std::string& combiner = {}) const;

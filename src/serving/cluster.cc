@@ -66,27 +66,15 @@ StatusOr<api::FlushReport> Cluster::FlushAll() {
 
 StatusOr<api::EstimateResponse> Cluster::Estimate(
     const api::EstimateRequest& request) const {
-  const bool join = !request.joins.empty();
-  if (!join) {
+  DDUP_RETURN_IF_ERROR(api::CheckEstimateRequest(request));
+  if (request.joins.empty()) {
     // Single-table shape: the owning shard serves it whole (including the
     // empty-table-name error path — Owner("") still picks a shard, whose
     // registry lookup reports it exactly like a plain engine would).
     return Owner(request.table)->Estimate(request);
   }
-  if (!request.table.empty()) {
-    return Status::InvalidArgument(
-        "EstimateRequest sets both the single-table shape (table '" +
-        request.table + "') and join queries; populate exactly one");
-  }
-  if (request.kind == api::EstimateRequest::Kind::kAqp) {
-    return Status::InvalidArgument(
-        "join requests serve cardinality only; AQP over joins is not "
-        "supported yet (DESIGN.md §14)");
-  }
   // Cross-shard join: the router fans each planned per-table subquery
-  // batch out to the shard that owns the table. Shard 0 stands in for the
-  // shared engine-level config (every shard was built from one
-  // EngineConfig).
+  // batch out to the shard that owns the table.
   api::QueryRouter router(
       shards_.front().get(),
       [this](const std::string& table) -> const api::Engine* {

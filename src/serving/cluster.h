@@ -12,9 +12,8 @@
 namespace ddup::serving {
 
 // Cluster-level knobs. Every shard is an ordinary api::Engine built from
-// the SAME EngineConfig — update workers, micro-batch default, estimate
-// engine, and the engine-side admission bound/policy (DESIGN.md §15) all
-// apply per shard.
+// the SAME EngineConfig — update workers, micro-batch default and the
+// engine-side admission bound/policy (DESIGN.md §15) all apply per shard.
 struct ClusterConfig {
   // Number of engine shards (>= 1; clamped). shards=1 with
   // engine.update_workers=0 and the default admission policy is

@@ -15,14 +15,6 @@ namespace ddup::workload {
 // and an aggregate spec. The api::QueryRouter plans these against an
 // api::Engine's registered tables.
 
-// A single-table query bound to a named engine table — the unit the legacy
-// string-keyed Engine::Estimate* overloads are shims for, and the unit the
-// router's planner emits per table.
-struct BoundQuery {
-  std::string table;
-  Query query;
-};
-
 // One table-qualified conjunct of a multi-table query. The column index is
 // relative to the named table's schema (same convention as Predicate).
 struct BoundPredicate {

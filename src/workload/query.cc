@@ -1,5 +1,7 @@
 #include "workload/query.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstring>
 
 #include "common/status.h"
@@ -29,6 +31,13 @@ const char* AggName(AggFunc agg) {
       return "AVG";
   }
   return "?";
+}
+
+// Shortest round-trip spelling ("nan", "1e+300", "4294967297").
+std::string FormatValue(double value) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, r.ptr);
 }
 }  // namespace
 
@@ -72,6 +81,29 @@ uint64_t QueryFingerprint(const Query& query) {
   mix(static_cast<uint64_t>(query.agg));
   mix(static_cast<uint64_t>(static_cast<int64_t>(query.agg_column)));
   return h;
+}
+
+Status CheckQueryValues(const storage::Table& schema, const Query& query) {
+  for (const Predicate& p : query.predicates) {
+    if (p.column < 0 || p.column >= schema.num_columns()) {
+      return Status::InvalidArgument("predicate on out-of-range column " +
+                                     std::to_string(p.column));
+    }
+    const storage::Column& c = schema.column(p.column);
+    if (std::isnan(p.value)) {
+      return Status::InvalidArgument("predicate on column '" + c.name() +
+                                     "' has value NaN");
+    }
+    if (!c.is_numeric() && p.op == CompareOp::kEq &&
+        !(p.value >= 0.0 && p.value < static_cast<double>(c.cardinality()) &&
+          p.value == std::floor(p.value))) {
+      return Status::InvalidArgument(
+          "equality on categorical column '" + c.name() + "' has value " +
+          FormatValue(p.value) + ", not a code in its dictionary of " +
+          std::to_string(c.cardinality()) + " entries");
+    }
+  }
+  return Status::OK();
 }
 
 bool RowMatches(const storage::Table& table, const Query& query, int64_t row) {

@@ -33,6 +33,14 @@ struct Query {
 // True iff row `row` of `table` satisfies every predicate.
 bool RowMatches(const storage::Table& table, const Query& query, int64_t row);
 
+// The logical rules every served query must obey, checked against the
+// table's schema before any estimator sees it: each predicate names a
+// column of `schema`, no predicate value is NaN (±inf range bounds are
+// legal), and an equality on a categorical column is an integral code in
+// [0, cardinality). A violation is an InvalidArgument naming the column and
+// the value — never an estimate for some other category.
+Status CheckQueryValues(const storage::Table& schema, const Query& query);
+
 // A set of queries submitted for estimation as one unit, so execution
 // engines (src/exec) can amortize per-call work — weight freezing, scratch
 // acquisition, kernel dispatch — across all of them. The batch carries no

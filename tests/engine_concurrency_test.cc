@@ -17,6 +17,7 @@
 #include "api/engine.h"
 #include "api/model_factory.h"
 #include "common/rng.h"
+#include "estimate_helpers.h"
 #include "gtest/gtest.h"
 #include "io/serializer.h"
 #include "workload/query.h"
@@ -50,6 +51,19 @@ ModelSpec FastMdnSpec() {
            {"hidden_width", "16"},
            {"epochs", "2"},
            {"seed", "3"}}};
+}
+
+ModelSpec FastDarnSpec() {
+  return {"darn",
+          {{"hidden_width", "24"},
+           {"max_bins", "12"},
+           {"epochs", "2"},
+           {"seed", "5"}}};
+}
+
+ModelSpec FastSpnSpec() {
+  return {"spn",
+          {{"min_instances_slice", "64"}, {"max_bins", "16"}, {"seed", "7"}}};
 }
 
 EngineConfig FastEngineConfig(int64_t micro_batch, int update_workers) {
@@ -153,9 +167,10 @@ TEST(EngineConcurrencyTest, StressedAsyncEngineMatchesSyncReplay) {
     int i = offset;
     while (!done.load(std::memory_order_acquire)) {
       const std::string& table = names[static_cast<size_t>(i) % kTables];
-      auto est = async_engine.EstimateAqp(
-          table, AqpRangeQuery(10.0 + (i % 5) * 8, 60.0 + (i % 4) * 10));
-      if (!est.ok() || !std::isfinite(est.value())) {
+      const workload::Query q =
+          AqpRangeQuery(10.0 + (i % 5) * 8, 60.0 + (i % 4) * 10);
+      auto est = async_engine.Estimate(Request(kAqp, table, {q}));
+      if (!est.ok() || !std::isfinite(est.value().answers[0])) {
         estimate_failed.store(true);
       } else {
         estimates_served.fetch_add(1);
@@ -232,10 +247,10 @@ TEST(EngineConcurrencyTest, StressedAsyncEngineMatchesSyncReplay) {
 
     for (int i = 0; i < 6; ++i) {
       workload::Query q = AqpRangeQuery(5.0 + i * 7, 55.0 + i * 6);
-      auto ea = async_engine.EstimateAqp(names[t], q);
-      auto eb = sync_engine.EstimateAqp(names[t], q);
+      auto ea = async_engine.Estimate(Request(kAqp, names[t], {q}));
+      auto eb = sync_engine.Estimate(Request(kAqp, names[t], {q}));
       ASSERT_TRUE(ea.ok() && eb.ok());
-      EXPECT_EQ(ea.value(), eb.value());
+      EXPECT_EQ(ea.value().answers, eb.value().answers);
     }
 
     // Both quiesced engines make the same *future* detect decision with
@@ -388,6 +403,18 @@ TEST(EngineConcurrencyTest, AsyncLifecycleStateMachineAndFlushSemantics) {
     EXPECT_EQ(after.value().rows, 540);
   }
 
+  // Hostile predicate values are refused before any snapshot is read, on
+  // every model kind and in a join.
+  for (const auto& [name, spec] :
+       {std::pair{"darn", FastDarnSpec()}, std::pair{"spn", FastSpnSpec()}}) {
+    ASSERT_TRUE(engine.CreateTable(name, MakeConditional(25, 75, 300, 4)).ok());
+    ASSERT_TRUE(engine.AttachModel(name, spec).ok()) << name;
+  }
+  ExpectHostileQueriesRefused(engine, kAqp, "t", AqpRangeQuery(0, 100));
+  ExpectHostileQueriesRefused(engine, kCard, "darn", AqpRangeQuery(0, 100));
+  ExpectHostileQueriesRefused(engine, kCard, "spn", AqpRangeQuery(0, 100));
+  ExpectHostileJoinRefused(engine, "darn", "spn");
+
   // FlushAll returns the reports it collected: two batches that ran in the
   // background plus the flushed remainder, keyed by table.
   ASSERT_TRUE(engine.Ingest("t", MakeConditional(25, 75, 250, 9)).ok());
@@ -397,7 +424,8 @@ TEST(EngineConcurrencyTest, AsyncLifecycleStateMachineAndFlushSemantics) {
   EXPECT_EQ(ReportCount(sweep.value()), 3);
   ASSERT_EQ(sweep.value().reports.at("t").size(), 3u);
   EXPECT_EQ(sweep.value().reports.at("t")[2].new_rows, 10);
-  auto served = engine.EstimateAqp("t", AqpRangeQuery(10.0, 70.0));
+  auto served =
+      engine.Estimate(Request(kAqp, "t", {AqpRangeQuery(10.0, 70.0)}));
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
   // An async engine checkpoint restores into a sync engine bit-identically
@@ -411,10 +439,10 @@ TEST(EngineConcurrencyTest, AsyncLifecycleStateMachineAndFlushSemantics) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (int i = 0; i < 4; ++i) {
     workload::Query q = AqpRangeQuery(10.0 + i * 9, 70.0 + i * 3);
-    auto a = engine.EstimateAqp("t", q);
-    auto b = loaded.value()->EstimateAqp("t", q);
+    auto a = engine.Estimate(Request(kAqp, "t", {q}));
+    auto b = loaded.value()->Estimate(Request(kAqp, "t", {q}));
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
+    EXPECT_EQ(a.value().answers, b.value().answers);
   }
   std::remove(path.c_str());
 }

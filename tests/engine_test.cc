@@ -7,6 +7,7 @@
 #include "api/engine.h"
 #include "api/model_factory.h"
 #include "common/rng.h"
+#include "estimate_helpers.h"
 #include "gtest/gtest.h"
 #include "io/checkpoint.h"
 #include "io/serializer.h"
@@ -69,6 +70,11 @@ ModelSpec FastMdnSpec() {
            {"hidden_width", "16"},
            {"epochs", "4"},
            {"seed", "3"}}};
+}
+
+ModelSpec FastSpnSpec() {
+  return {"spn",
+          {{"min_instances_slice", "64"}, {"max_bins", "16"}, {"seed", "7"}}};
 }
 
 ModelSpec FastDarnSpec() {
@@ -191,7 +197,9 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   EXPECT_EQ(engine.Ingest("t", base).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(engine.Flush("t").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(engine.Report("t").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine.EstimateAqp("t", RangeCountQuery(0, 100)).status().code(),
+  const EstimateRequest aqp_request =
+      Request(kAqp, "t", {RangeCountQuery(0, 100)});
+  EXPECT_EQ(engine.Estimate(aqp_request).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(engine.model("t"), nullptr);
 
@@ -207,7 +215,7 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   // Before AttachModel: ingest/estimates are FailedPrecondition.
   EXPECT_EQ(engine.Ingest("t", base).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.EstimateAqp("t", RangeCountQuery(0, 100)).status().code(),
+  EXPECT_EQ(engine.Estimate(aqp_request).status().code(),
             StatusCode::kFailedPrecondition);
 
   EXPECT_EQ(engine.AttachModel("t", {"nope", {}}).code(),
@@ -253,12 +261,12 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   EXPECT_EQ(engine.CreateTable("hostile", HostileBatches(120)[0]).code(),
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(engine.Flush("t").ok());
-  auto served = engine.EstimateAqp("t", RangeCountQuery(0, 100));
+  auto served = engine.Estimate(aqp_request);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE(std::isfinite(served.value()));
+  EXPECT_TRUE(std::isfinite(served.value().answers[0]));
 
   // An MDN does not serve cardinality estimates.
-  auto card = engine.EstimateCardinality("t", RangeCountQuery(0, 100));
+  auto card = engine.Estimate(Request(kCard, "t", {RangeCountQuery(0, 100)}));
   EXPECT_EQ(card.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(card.status().message().find("mdn"), std::string::npos);
 
@@ -382,7 +390,10 @@ TEST(EngineTest, MultiTableLifecycleWithMixedModelKinds) {
   ASSERT_TRUE(engine.CreateTable("card", card_base).ok());
   ASSERT_TRUE(engine.AttachModel("aqp", FastMdnSpec()).ok());
   ASSERT_TRUE(engine.AttachModel("card", FastDarnSpec()).ok());
-  EXPECT_EQ(engine.TableNames(), (std::vector<std::string>{"aqp", "card"}));
+  ASSERT_TRUE(engine.CreateTable("spn", MakeConditional(35, 65, 400, 16)).ok());
+  ASSERT_TRUE(engine.AttachModel("spn", FastSpnSpec()).ok());
+  EXPECT_EQ(engine.TableNames(),
+            (std::vector<std::string>{"aqp", "card", "spn"}));
 
   // Updates flow to the right table and only that table.
   ASSERT_TRUE(engine.Ingest("aqp", MakeConditional(25, 75, 150, 10)).ok());
@@ -396,20 +407,31 @@ TEST(EngineTest, MultiTableLifecycleWithMixedModelKinds) {
   EXPECT_EQ(aqp_report.value().model_kind, "mdn");
   EXPECT_EQ(card_report.value().model_kind, "darn");
 
-  auto aqp_est = engine.EstimateAqp("aqp", RangeCountQuery(20, 80));
+  auto aqp_est =
+      engine.Estimate(Request(kAqp, "aqp", {RangeCountQuery(20, 80)}));
   ASSERT_TRUE(aqp_est.ok()) << aqp_est.status().ToString();
-  EXPECT_GT(aqp_est.value(), 0.0);
-  auto card_est = engine.EstimateCardinality("card", RangeCountQuery(20, 80));
+  EXPECT_GT(aqp_est.value().answers[0], 0.0);
+  auto card_est =
+      engine.Estimate(Request(kCard, "card", {RangeCountQuery(20, 80)}));
   ASSERT_TRUE(card_est.ok()) << card_est.status().ToString();
-  EXPECT_GT(card_est.value(), 0.0);
+  EXPECT_GT(card_est.value().answers[0], 0.0);
 
   // Malformed queries come back as InvalidArgument, not a crash.
   workload::Query bad = RangeCountQuery(20, 80);
   bad.predicates[0].column = 99;
-  EXPECT_EQ(engine.EstimateCardinality("card", bad).status().code(),
+  EXPECT_EQ(engine.Estimate(Request(kCard, "card", {bad})).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.EstimateAqp("aqp", bad).status().code(),
+  EXPECT_EQ(engine.Estimate(Request(kAqp, "aqp", {bad})).status().code(),
             StatusCode::kInvalidArgument);
+  // So are hostile values, on every model kind and in a join.
+  ExpectHostileQueriesRefused(engine, kAqp, "aqp", RangeCountQuery(0, 100));
+  ExpectHostileQueriesRefused(engine, kCard, "card", RangeCountQuery(0, 100));
+  ExpectHostileQueriesRefused(engine, kCard, "spn", RangeCountQuery(0, 100));
+  ExpectHostileJoinRefused(engine, "card", "spn");
+  // ±inf range bounds stay legal.
+  const workload::Query unbounded = RangeCountQuery(-HUGE_VAL, HUGE_VAL);
+  EXPECT_TRUE(engine.Estimate(Request(kAqp, "aqp", {unbounded})).ok());
+  EXPECT_TRUE(engine.Estimate(Request(kCard, "spn", {unbounded})).ok());
 }
 
 TEST(EngineTest, SaveLoadRoundTripsBitIdentically) {
@@ -435,14 +457,14 @@ TEST(EngineTest, SaveLoadRoundTripsBitIdentically) {
   // Estimates over both tables are bit-identical.
   for (int i = 0; i < 8; ++i) {
     workload::Query q = RangeCountQuery(10.0 + i * 5, 60.0 + i * 5);
-    auto a = engine.EstimateAqp("aqp", q);
-    auto b = loaded.value()->EstimateAqp("aqp", q);
+    auto a = engine.Estimate(Request(kAqp, "aqp", {q}));
+    auto b = loaded.value()->Estimate(Request(kAqp, "aqp", {q}));
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
-    auto c = engine.EstimateCardinality("card", q);
-    auto d = loaded.value()->EstimateCardinality("card", q);
+    EXPECT_EQ(a.value().answers, b.value().answers);
+    auto c = engine.Estimate(Request(kCard, "card", {q}));
+    auto d = loaded.value()->Estimate(Request(kCard, "card", {q}));
     ASSERT_TRUE(c.ok() && d.ok());
-    EXPECT_EQ(c.value(), d.value());
+    EXPECT_EQ(c.value().answers, d.value().answers);
   }
 
   // Detector state, counters and the accumulator round-trip exactly.
@@ -483,6 +505,72 @@ TEST(EngineTest, SaveLoadRoundTripsBitIdentically) {
             ModelStateBytes(loaded.value().get(), "aqp"));
 
   std::remove(path.c_str());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(EngineTest, SaveIsDeterministicForOneIngestSequence) {
+  // Three engines, one fixed ingest sequence: the checkpoint files are
+  // byte-identical, sync or async, however long each DDUp stage took.
+  auto run = [](int update_workers, const std::string& path) {
+    EngineConfig config = FastEngineConfig(120);
+    config.update_workers = update_workers;
+    Engine engine(config);
+    const storage::Table aqp_base = MakeConditional(25, 75, 400, 11);
+    const storage::Table card_base = MakeConditional(30, 60, 400, 12);
+    ASSERT_TRUE(engine.CreateTable("aqp", aqp_base).ok());
+    ASSERT_TRUE(engine.CreateTable("card", card_base).ok());
+    ASSERT_TRUE(engine.AttachModel("aqp", FastMdnSpec()).ok());
+    ASSERT_TRUE(engine.AttachModel("card", FastDarnSpec()).ok());
+    ASSERT_TRUE(engine.Ingest("aqp", MakeConditional(75, 25, 120, 13)).ok());
+    ASSERT_TRUE(engine.Ingest("card", MakeConditional(30, 60, 130, 14)).ok());
+    ASSERT_TRUE(engine.Flush("card").ok());
+    ASSERT_TRUE(engine.Ingest("aqp", MakeConditional(25, 75, 40, 15)).ok());
+    engine.Quiesce();
+
+    // The stage timings are reported, not saved: the refresh time is the
+    // sum of the per-batch offline refreshes.
+    auto report = engine.Report("card");
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.value().insertions, 2);
+    EXPECT_GT(report.value().detect_seconds, 0.0);
+    EXPECT_GT(report.value().refresh_seconds, 0.0);
+    ASSERT_TRUE(engine.Save(path).ok());
+  };
+  const std::string first = TempPath("engine_test_det_a.ckpt");
+  const std::string second = TempPath("engine_test_det_b.ckpt");
+  const std::string async = TempPath("engine_test_det_async.ckpt");
+  run(0, first);
+  run(0, second);
+  run(2, async);
+  const std::string bytes = FileBytes(first);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == FileBytes(second));
+  EXPECT_TRUE(bytes == FileBytes(async));
+
+  // A loaded engine starts its timings at zero and saves the same bytes.
+  auto loaded = Engine::Load(first, FastEngineConfig(120));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto report = loaded.value()->Report("card");
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().insertions, 2);
+  EXPECT_EQ(report.value().detect_seconds, 0.0);
+  EXPECT_EQ(report.value().update_seconds, 0.0);
+  EXPECT_EQ(report.value().refresh_seconds, 0.0);
+  ASSERT_TRUE(loaded.value()->Save(second).ok());
+  EXPECT_TRUE(bytes == FileBytes(second));
+  for (const std::string& path : {first, second, async}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(EngineTest, DetectorKindSelectableViaTableOptions) {
@@ -574,10 +662,10 @@ TEST(EngineTest, LoadRejectsMissingAndCorruptFiles) {
   std::remove(path.c_str());
 }
 
-TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
-  // The deprecated string-keyed overloads are pinned as thin shims over
-  // Estimate(EstimateRequest): same answers bit-for-bit, same error
-  // messages (scalar errors carry no "query <i>: " batch prefix).
+TEST(EngineTest, EstimateRequestShapesAndErrors) {
+  // Batch and one-query requests agree bit for bit, and every request-level
+  // error is a typed Status: unknown or empty table, both shapes set, and
+  // the "query <i>: " prefix naming the failing query of a batch.
   Engine engine(FastEngineConfig(100));
   storage::Table base = MakeConditional(25, 75, 300, 4);
   ASSERT_TRUE(engine.CreateTable("card", base).ok());
@@ -585,61 +673,34 @@ TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
   ASSERT_TRUE(engine.CreateTable("aqp", base).ok());
   ASSERT_TRUE(engine.AttachModel("aqp", FastMdnSpec()).ok());
 
-  workload::QueryBatch batch;
-  batch.Add(RangeCountQuery(10, 40));
-  batch.Add(RangeCountQuery(25, 75));
-  batch.Add(RangeCountQuery(60, 90));
-
-  EstimateRequest card_request;
-  card_request.table = "card";
-  card_request.queries = batch;
-  auto card_structured = engine.Estimate(card_request);
-  ASSERT_TRUE(card_structured.ok()) << card_structured.status().ToString();
-  auto card_batch = engine.EstimateCardinalityBatch("card", batch);
-  ASSERT_TRUE(card_batch.ok());
-  EXPECT_EQ(card_structured.value().answers, card_batch.value());
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    auto scalar = engine.EstimateCardinality("card", batch.queries[i]);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(scalar.value(), card_structured.value().answers[i]) << i;
+  const std::vector<workload::Query> queries = {
+      RangeCountQuery(10, 40), RangeCountQuery(25, 75),
+      RangeCountQuery(60, 90)};
+  for (const auto& [kind, table] :
+       {std::pair{kCard, "card"}, std::pair{kAqp, "aqp"}}) {
+    auto batch = engine.Estimate(Request(kind, table, queries));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch.value().answers.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto one = engine.Estimate(Request(kind, table, {queries[i]}));
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      ASSERT_EQ(one.value().answers.size(), 1u);
+      EXPECT_EQ(one.value().answers[0], batch.value().answers[i])
+          << table << " query " << i;
+    }
   }
 
-  EstimateRequest aqp_request;
-  aqp_request.kind = EstimateRequest::Kind::kAqp;
-  aqp_request.table = "aqp";
-  aqp_request.queries = batch;
-  auto aqp_structured = engine.Estimate(aqp_request);
-  ASSERT_TRUE(aqp_structured.ok()) << aqp_structured.status().ToString();
-  auto aqp_batch = engine.EstimateAqpBatch("aqp", batch);
-  ASSERT_TRUE(aqp_batch.ok());
-  EXPECT_EQ(aqp_structured.value().answers, aqp_batch.value());
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    auto scalar = engine.EstimateAqp("aqp", batch.queries[i]);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(scalar.value(), aqp_structured.value().answers[i]) << i;
-  }
-
-  // Error-message parity: batch errors name the query, scalar errors do
-  // not — the shim strips the exec engines' "query 0: " prefix.
+  // A bad query is named by its index in the request.
   workload::Query bad;
   bad.predicates.push_back({99, workload::CompareOp::kEq, 0.0});
-  auto scalar_err = engine.EstimateCardinality("card", bad);
-  ASSERT_FALSE(scalar_err.ok());
-  EXPECT_EQ(scalar_err.status().message().find("query 0: "),
-            std::string::npos)
-      << scalar_err.status().ToString();
-  EXPECT_EQ(scalar_err.status().message().rfind("predicate on", 0), 0u)
-      << scalar_err.status().ToString();
-  workload::QueryBatch bad_second;
-  bad_second.Add(RangeCountQuery(10, 40));
-  bad_second.Add(bad);
-  auto batch_err = engine.EstimateCardinalityBatch("card", bad_second);
+  auto batch_err =
+      engine.Estimate(Request(kCard, "card", {RangeCountQuery(10, 40), bad}));
   ASSERT_FALSE(batch_err.ok());
+  EXPECT_EQ(batch_err.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(batch_err.status().message().rfind("query 1: ", 0), 0u)
       << batch_err.status().ToString();
 
-  // Unknown-table parity holds through the structured path too (including
-  // the legacy empty-name spelling).
+  // Unknown and empty table names are NotFound.
   EstimateRequest unknown;
   unknown.table = "nope";
   EXPECT_EQ(engine.Estimate(unknown).status().code(), StatusCode::kNotFound);
@@ -647,7 +708,7 @@ TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
   EXPECT_EQ(engine.Estimate(unnamed).status().code(), StatusCode::kNotFound);
 
   // A request populating both the single-table and join shapes is malformed.
-  EstimateRequest both = card_request;
+  EstimateRequest both = Request(kCard, "card", queries);
   workload::JoinQuery join;
   join.joins.push_back({"card", "y", "aqp", "y"});
   both.joins.Add(join);
@@ -655,17 +716,10 @@ TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 
-  // An empty single-table batch answers with an empty vector, same as the
-  // legacy batch overload.
-  EstimateRequest empty;
-  empty.table = "card";
-  auto none = engine.Estimate(empty);
+  // An empty single-table batch answers with an empty vector.
+  auto none = engine.Estimate(Request(kCard, "card", {}));
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().answers.empty());
-  auto legacy_none =
-      engine.EstimateCardinalityBatch("card", workload::QueryBatch{});
-  ASSERT_TRUE(legacy_none.ok());
-  EXPECT_TRUE(legacy_none.value().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -710,10 +764,10 @@ TEST(EngineTest, CheckpointCodecKnob) {
   ASSERT_TRUE(from_raw.ok()) << from_raw.status().ToString();
   for (int i = 0; i < 6; ++i) {
     workload::Query q = RangeCountQuery(10.0 + i * 5, 60.0 + i * 5);
-    auto a = from_default.value()->EstimateCardinality("t", q);
-    auto b = from_raw.value()->EstimateCardinality("t", q);
+    auto a = from_default.value()->Estimate(Request(kCard, "t", {q}));
+    auto b = from_raw.value()->Estimate(Request(kCard, "t", {q}));
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
+    EXPECT_EQ(a.value().answers, b.value().answers);
   }
 
   // The manifest records the codec: a Load → Save cycle with no codec in
@@ -778,6 +832,55 @@ TEST(EngineTest, LoadsV1ContainerWithV3Manifest) {
   ASSERT_TRUE(loaded.value()->Save(resaved).ok());
   std::remove(path.c_str());
   std::remove(resaved.c_str());
+}
+
+TEST(EngineTest, LoadsV3AndV4ManifestsSkippingTheirTimings) {
+  // Compatibility pin: v3 and v4 manifests stored each table's wall-clock
+  // detect/update seconds. Load reads past them; the loaded engine reports
+  // timings from zero and keeps every counter.
+  const storage::Table base = MakeConditional(25, 75, 50, 21);
+  for (uint32_t version : {3u, 4u}) {
+    io::Serializer manifest;
+    manifest.WriteU32(version);
+    if (version >= 4) manifest.WriteString("raw");
+    manifest.WriteU32(1);  // one table
+    manifest.WriteString("t");
+    manifest.WriteString("");  // no model kind
+    manifest.WriteU32(0);      // no model options
+    manifest.WriteI64(100);    // micro_batch_rows
+    manifest.WriteString("bootstrap");
+    manifest.WriteI64(2);  // update_priority
+    manifest.WriteI64(7);  // insertions
+    manifest.WriteI64(3);  // ood_updates
+    manifest.WriteI64(4);  // finetunes
+    manifest.WriteI64(0);  // kept_stale
+    manifest.WriteDouble(1.25);  // detect_seconds
+    manifest.WriteDouble(2.5);   // update_seconds
+    manifest.WriteTable(base);
+    manifest.WriteTable(base.TakeRows({}));
+    manifest.WriteBool(false);  // no model attached
+    io::CheckpointWriter writer;
+    writer.AddSection("engine", manifest.Take());
+    const std::string path = TempPath("legacy_manifest.ckpt");
+    ASSERT_TRUE(writer.WriteToFile(path).ok());
+
+    auto loaded = Engine::Load(path, FastEngineConfig(100));
+    ASSERT_TRUE(loaded.ok()) << version << ": " << loaded.status().ToString();
+    auto report = loaded.value()->Report("t");
+    ASSERT_TRUE(report.ok()) << version;
+    EXPECT_EQ(report.value().rows, 50) << version;
+    EXPECT_EQ(report.value().update_priority, 2) << version;
+    EXPECT_EQ(report.value().insertions, 7) << version;
+    EXPECT_EQ(report.value().ood_updates, 3) << version;
+    EXPECT_EQ(report.value().finetunes, 4) << version;
+    EXPECT_EQ(report.value().detect_seconds, 0.0) << version;
+    EXPECT_EQ(report.value().update_seconds, 0.0) << version;
+    ASSERT_TRUE(loaded.value()->Save(path).ok()) << version;
+    auto resaved = Engine::Load(path, FastEngineConfig(100));
+    ASSERT_TRUE(resaved.ok()) << version;
+    EXPECT_EQ(resaved.value()->TableNames(), std::vector<std::string>{"t"});
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 // zero-heap-alloc steady state via MatrixPool counters.
 
 #include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "common/rng.h"
 #include "core/interfaces.h"
 #include "exec/estimator_engine.h"
+#include "estimate_helpers.h"
 #include "gtest/gtest.h"
 #include "models/registry.h"
 #include "nn/pool.h"
@@ -31,6 +31,10 @@
 
 namespace ddup::exec {
 namespace {
+
+using api::kAqp;
+using api::kCard;
+using api::Request;
 
 // Bitwise equality: the harness contract is byte-identity, not tolerance.
 testing::AssertionResult BitEqual(double a, double b) {
@@ -353,48 +357,10 @@ TEST(DifferentialErrorTest, EnginesAgreeOnInvalidQueries) {
 
 // --- Engine (api) batch surface ---------------------------------------------
 
-TEST(EngineBatchApiTest, BatchMatchesScalarAcrossConfiguredEngines) {
+TEST(EngineBatchApiTest, RequestsMatchTheReferenceEngineBitForBit) {
   storage::Table base = MakeBase(300, 31);
   workload::QueryBatch batch = TileBatch(CardQueries(), 16);
-
-  std::map<std::string, std::vector<double>> by_engine;
-  for (const std::string& engine_name : RegisteredEstimatorEngines()) {
-    api::EngineConfig config;
-    config.estimate_engine = engine_name;
-    api::Engine engine(config);
-    ASSERT_TRUE(engine.CreateTable("t", base).ok());
-    ASSERT_TRUE(engine
-                    .AttachModel("t", {"darn",
-                                       {{"hidden_width", "16"},
-                                        {"max_bins", "8"},
-                                        {"epochs", "1"}}})
-                    .ok());
-    StatusOr<std::vector<double>> batched =
-        engine.EstimateCardinalityBatch("t", batch);
-    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    for (size_t i = 0; i < batch.queries.size(); ++i) {
-      StatusOr<double> scalar =
-          engine.EstimateCardinality("t", batch.queries[i]);
-      ASSERT_TRUE(scalar.ok());
-      EXPECT_TRUE(BitEqual(scalar.value(), batched.value()[i]))
-          << engine_name << " i=" << i;
-    }
-    by_engine[engine_name] = std::move(batched).value();
-  }
-  // And the engines agree with each other through the api surface too.
-  const std::vector<double>& reference = by_engine.at("reference");
-  for (const auto& [name, answers] : by_engine) {
-    ASSERT_EQ(answers.size(), reference.size());
-    for (size_t i = 0; i < answers.size(); ++i) {
-      EXPECT_TRUE(BitEqual(reference[i], answers[i])) << name << " i=" << i;
-    }
-  }
-}
-
-TEST(EngineBatchApiTest, UnknownEngineAndUnservedKindsAreStatuses) {
-  storage::Table base = MakeBase(200, 41);
   api::EngineConfig config;
-  config.estimate_engine = "warp-drive";
   api::Engine engine(config);
   ASSERT_TRUE(engine.CreateTable("t", base).ok());
   ASSERT_TRUE(engine
@@ -403,30 +369,40 @@ TEST(EngineBatchApiTest, UnknownEngineAndUnservedKindsAreStatuses) {
                                       {"max_bins", "8"},
                                       {"epochs", "1"}}})
                   .ok());
-  StatusOr<std::vector<double>> bad =
-      engine.EstimateCardinalityBatch("t", workload::QueryBatch{});
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("vectorized"), std::string::npos)
-      << "error should list the registered engines";
 
-  // Kinds that serve neither estimate (gbdt, tvae) fail identically through
-  // every engine: the FailedPrecondition fires before engine dispatch.
-  for (const std::string& engine_name : RegisteredEstimatorEngines()) {
-    api::EngineConfig cfg;
-    cfg.estimate_engine = engine_name;
-    api::Engine e(cfg);
-    ASSERT_TRUE(e.CreateTable("g", base).ok());
-    ASSERT_TRUE(
-        e.AttachModel("g", {"gbdt", {{"target", "x"}, {"num_rounds", "2"}}}).ok());
-    StatusOr<std::vector<double>> card =
-        e.EstimateCardinalityBatch("g", workload::QueryBatch{});
-    EXPECT_EQ(card.status().code(), StatusCode::kFailedPrecondition)
-        << engine_name;
-    StatusOr<std::vector<double>> aqp =
-        e.EstimateAqpBatch("g", workload::QueryBatch{});
-    EXPECT_EQ(aqp.status().code(), StatusCode::kFailedPrecondition)
-        << engine_name;
+  // The oracle: the reference exec engine run directly on the model the
+  // (synchronous) engine serves.
+  const auto* card =
+      dynamic_cast<const core::CardinalityEstimator*>(engine.model("t"));
+  ASSERT_NE(card, nullptr);
+  const EstimatorEngine* reference = FindEstimatorEngine("reference");
+  std::vector<double> want;
+  ASSERT_TRUE(reference->EstimateCardinalityBatch(*card, batch, &want).ok());
+
+  auto batched = engine.Estimate(Request(kCard, "t", batch.queries));
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  ASSERT_EQ(batched.value().answers.size(), want.size());
+  for (size_t i = 0; i < batch.queries.size(); ++i) {
+    EXPECT_TRUE(BitEqual(want[i], batched.value().answers[i])) << i;
+    auto one = engine.Estimate(Request(kCard, "t", {batch.queries[i]}));
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_TRUE(BitEqual(want[i], one.value().answers[0])) << i;
   }
+}
+
+TEST(EngineBatchApiTest, UnservedKindsAreStatuses) {
+  // Kinds that serve neither estimate (gbdt, tvae) fail with
+  // FailedPrecondition before any exec engine runs.
+  storage::Table base = MakeBase(200, 41);
+  api::EngineConfig config;
+  api::Engine engine(config);
+  ASSERT_TRUE(engine.CreateTable("g", base).ok());
+  const api::ModelSpec gbdt{"gbdt", {{"target", "x"}, {"num_rounds", "2"}}};
+  ASSERT_TRUE(engine.AttachModel("g", gbdt).ok());
+  EXPECT_EQ(engine.Estimate(Request(kCard, "g", {})).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.Estimate(Request(kAqp, "g", {})).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // --- Lock-free concurrent readers (exercised under TSan in CI) --------------
@@ -458,11 +434,10 @@ TEST(ConcurrentEstimateTest, ManyReadersShareOneTableWithoutLocks) {
     readers.emplace_back([&, r] {
       for (int round = 0; round < kRounds; ++round) {
         // Mix scalar and batched reads; both ride the same serving view.
-        StatusOr<double> one =
-            engine.EstimateCardinality("t", batch.queries[round % 8]);
+        auto one =
+            engine.Estimate(Request(kCard, "t", {batch.queries[round % 8]}));
         if (!one.ok()) failures[r]++;
-        StatusOr<std::vector<double>> many =
-            engine.EstimateCardinalityBatch("t", batch);
+        auto many = engine.Estimate(Request(kCard, "t", batch.queries));
         if (!many.ok()) failures[r]++;
       }
     });
@@ -479,12 +454,14 @@ TEST(ConcurrentEstimateTest, ManyReadersShareOneTableWithoutLocks) {
   ASSERT_TRUE(engine.FlushAll().ok());
 
   // Quiesced again: answers are deterministic per query, scalar == batched.
-  StatusOr<std::vector<double>> after = engine.EstimateCardinalityBatch("t", batch);
+  auto after = engine.Estimate(Request(kCard, "t", batch.queries));
   ASSERT_TRUE(after.ok());
   for (size_t i = 0; i < batch.queries.size(); ++i) {
-    StatusOr<double> scalar = engine.EstimateCardinality("t", batch.queries[i]);
+    auto scalar = engine.Estimate(Request(kCard, "t", {batch.queries[i]}));
     ASSERT_TRUE(scalar.ok());
-    EXPECT_TRUE(BitEqual(scalar.value(), after.value()[i])) << i;
+    EXPECT_TRUE(BitEqual(scalar.value().answers[0],
+                         after.value().answers[i]))
+        << i;
   }
 }
 

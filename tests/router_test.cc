@@ -7,6 +7,7 @@
 
 #include "api/engine.h"
 #include "api/router.h"
+#include "estimate_helpers.h"
 #include "gtest/gtest.h"
 #include "storage/column.h"
 #include "storage/table.h"
@@ -199,10 +200,12 @@ TEST(QueryRouterTest, EveryPlanErrorCodeIsTypedAndRecoverable) {
     auto got = PlanErrorFromStatus(plan.status());
     ASSERT_TRUE(got.has_value()) << plan.status().ToString();
     EXPECT_EQ(got.value(), want) << plan.status().ToString();
-    // Estimation surfaces the same typed error.
-    auto est = router.EstimateCardinality(q);
+    // Estimation surfaces the same typed error behind the batch prefix.
+    auto est = router.EstimateCardinalityBatch(JoinQueryBatch({q}));
     ASSERT_FALSE(est.ok());
     EXPECT_EQ(PlanErrorFromStatus(est.status()), got);
+    EXPECT_EQ(est.status().message().rfind("join query 0: [plan:", 0), 0u)
+        << est.status().ToString();
   };
 
   JoinQuery empty;
@@ -264,7 +267,7 @@ TEST(QueryRouterTest, EveryPlanErrorCodeIsTypedAndRecoverable) {
   JoinQuery needs_model;
   needs_model.joins = {Edge("fact", "fk_a", "dim_a", "id_a")};
   needs_model.predicates = {Pred("fact", 2, CompareOp::kLe, 4.0)};
-  auto est = router.EstimateCardinality(needs_model);
+  auto est = router.EstimateCardinalityBatch(JoinQueryBatch({needs_model}));
   ASSERT_FALSE(est.ok());
   EXPECT_EQ(est.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(PlanErrorFromStatus(est.status()).has_value());
@@ -272,7 +275,8 @@ TEST(QueryRouterTest, EveryPlanErrorCodeIsTypedAndRecoverable) {
   // Unknown combiner names list the registered ones.
   JoinQuery fine;
   fine.joins = {Edge("fact", "fk_a", "dim_a", "id_a")};
-  auto bad_combiner = router.EstimateCardinality(fine, "nope");
+  auto bad_combiner =
+      router.EstimateCardinalityBatch(JoinQueryBatch({fine}), "nope");
   ASSERT_FALSE(bad_combiner.ok());
   EXPECT_EQ(bad_combiner.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad_combiner.status().message().find("join-uniformity"),
@@ -299,9 +303,9 @@ TEST(QueryRouterTest, CleanForeignKeyJoinsAreExactWithoutModels) {
       ExactJoin2(fact, 0, none, dim_a, 0, none));
   EXPECT_EQ(exact2, 120.0);
   for (const std::string& combiner : RegisteredJoinCombiners()) {
-    auto est = router.EstimateCardinality(two, combiner);
+    auto est = router.EstimateCardinalityBatch(JoinQueryBatch({two}), combiner);
     ASSERT_TRUE(est.ok()) << est.status().ToString();
-    EXPECT_DOUBLE_EQ(est.value(), exact2) << combiner;
+    EXPECT_DOUBLE_EQ(est.value()[0], exact2) << combiner;
   }
 
   JoinQuery three;
@@ -311,9 +315,10 @@ TEST(QueryRouterTest, CleanForeignKeyJoinsAreExactWithoutModels) {
       ExactStar3(fact, none, dim_a, none, dim_b, none));
   EXPECT_EQ(exact3, 120.0);
   for (const std::string& combiner : RegisteredJoinCombiners()) {
-    auto est = router.EstimateCardinality(three, combiner);
+    auto est =
+        router.EstimateCardinalityBatch(JoinQueryBatch({three}), combiner);
     ASSERT_TRUE(est.ok()) << est.status().ToString();
-    EXPECT_DOUBLE_EQ(est.value(), exact3) << combiner;
+    EXPECT_DOUBLE_EQ(est.value()[0], exact3) << combiner;
   }
 }
 
@@ -337,12 +342,13 @@ TEST(QueryRouterTest, CombinersDivergeWhenReferentialIntegrityBreaks) {
 
   JoinQuery query;
   query.joins = {Edge("fact", "fk_a", "dim_a", "id_a")};
-  auto uniformity = router.EstimateCardinality(query, "join-uniformity");
-  auto fanout = router.EstimateCardinality(query, "fanout-scaling");
+  const JoinQueryBatch batch({query});
+  auto uniformity = router.EstimateCardinalityBatch(batch, "join-uniformity");
+  auto fanout = router.EstimateCardinalityBatch(batch, "fanout-scaling");
   ASSERT_TRUE(uniformity.ok()) << uniformity.status().ToString();
   ASSERT_TRUE(fanout.ok()) << fanout.status().ToString();
-  EXPECT_DOUBLE_EQ(uniformity.value(), exact);
-  EXPECT_DOUBLE_EQ(fanout.value(), 2.0 * exact);
+  EXPECT_DOUBLE_EQ(uniformity.value()[0], exact);
+  EXPECT_DOUBLE_EQ(fanout.value()[0], 2.0 * exact);
 }
 
 TEST(QueryRouterTest, PredicatedJoinsCombineModelSelectivities) {
@@ -363,15 +369,17 @@ TEST(QueryRouterTest, PredicatedJoinsCombineModelSelectivities) {
   // estimate surface the join answer is built from.
   workload::Query fact_sub;
   fact_sub.predicates = {query.predicates[0].predicate};
-  auto single = engine.EstimateCardinality("fact", fact_sub);
+  auto single = engine.Estimate(Request(kCard, "fact", {fact_sub}));
   ASSERT_TRUE(single.ok()) << single.status().ToString();
   const double sel =
-      std::min(1.0, std::max(0.0, single.value() / 240.0));
+      std::min(1.0, std::max(0.0, single.value().answers[0] / 240.0));
 
   for (const std::string& combiner : RegisteredJoinCombiners()) {
-    auto est = router.EstimateCardinality(query, combiner);
-    ASSERT_TRUE(est.ok()) << est.status().ToString();
-    EXPECT_DOUBLE_EQ(est.value(), 240.0 * sel) << combiner;
+    auto answers =
+        router.EstimateCardinalityBatch(JoinQueryBatch({query}), combiner);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    const double est = answers.value()[0];
+    EXPECT_DOUBLE_EQ(est, 240.0 * sel) << combiner;
 
     // And the combined answer is close to the exact join count (the SPN
     // selectivity is near-exact on this deterministic measure column).
@@ -381,13 +389,12 @@ TEST(QueryRouterTest, PredicatedJoinsCombineModelSelectivities) {
     const double exact = static_cast<double>(
         ExactJoin2(fact, 0, qf, dim_a, 0, none));
     ASSERT_GT(exact, 0.0);
-    const double q_error = est.value() > exact ? est.value() / exact
-                                               : exact / est.value();
+    const double q_error = est > exact ? est / exact : exact / est;
     EXPECT_LT(q_error, 2.0) << combiner;
   }
 }
 
-TEST(QueryRouterTest, BatchAnswersAreBitIdenticalToScalarCalls) {
+TEST(QueryRouterTest, BatchAnswersAreBitIdenticalToOneQueryBatches) {
   Engine engine(FastEngineConfig(128));
   storage::Table fact = Fact(240, 8, 5);
   ASSERT_TRUE(engine.CreateTable("fact", fact).ok());
@@ -416,9 +423,10 @@ TEST(QueryRouterTest, BatchAnswersAreBitIdenticalToScalarCalls) {
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
     ASSERT_EQ(batched.value().size(), 3u);
     for (size_t i = 0; i < batch.queries.size(); ++i) {
-      auto scalar = router.EstimateCardinality(batch.queries[i], combiner);
-      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-      EXPECT_EQ(batched.value()[i], scalar.value()) << combiner << " #" << i;
+      auto one = router.EstimateCardinalityBatch(
+          JoinQueryBatch({batch.queries[i]}), combiner);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      EXPECT_EQ(batched.value()[i], one.value()[0]) << combiner << " #" << i;
     }
   }
 
@@ -470,10 +478,11 @@ TEST(QueryRouterTest, ConcurrentEstimatesAgainstBackgroundUpdateWorkers) {
       const std::string combiner =
           r % 2 == 0 ? "join-uniformity" : "fanout-scaling";
       while (!done.load(std::memory_order_acquire)) {
-        auto est = router.EstimateCardinality(query, combiner);
+        auto est =
+            router.EstimateCardinalityBatch(JoinQueryBatch({query}), combiner);
         ASSERT_TRUE(est.ok()) << est.status().ToString();
-        ASSERT_TRUE(std::isfinite(est.value()));
-        ASSERT_GE(est.value(), 0.0);
+        ASSERT_TRUE(std::isfinite(est.value()[0]));
+        ASSERT_GE(est.value()[0], 0.0);
       }
     });
   }
@@ -492,15 +501,15 @@ TEST(QueryRouterTest, ConcurrentEstimatesAgainstBackgroundUpdateWorkers) {
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
-  // Quiesced: batch and scalar answers agree bitwise, and the stats saw
-  // every flushed row (256 base + 6 x 96 ingested).
+  // Quiesced: a batch and a one-query batch agree bitwise, and the stats
+  // saw every flushed row (256 base + 6 x 96 ingested).
   QueryRouter router(&engine);
-  JoinQueryBatch batch;
-  batch.Add(query);
-  auto scalar = router.EstimateCardinality(query);
+  JoinQueryBatch batch({query, query});
+  auto one = router.EstimateCardinalityBatch(JoinQueryBatch({query}));
   auto batched = router.EstimateCardinalityBatch(batch);
-  ASSERT_TRUE(scalar.ok() && batched.ok());
-  EXPECT_EQ(batched.value()[0], scalar.value());
+  ASSERT_TRUE(one.ok() && batched.ok());
+  EXPECT_EQ(batched.value()[0], one.value()[0]);
+  EXPECT_EQ(batched.value()[1], one.value()[0]);
   auto report = engine.Report("fact");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().rows, 256 + 6 * 96);

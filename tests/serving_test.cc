@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "estimate_helpers.h"
 #include "gtest/gtest.h"
 #include "io/serializer.h"
 #include "serving/admission.h"
@@ -38,7 +39,12 @@ namespace {
 
 using api::Engine;
 using api::EngineConfig;
+using api::ExpectHostileJoinRefused;
+using api::ExpectHostileQueriesRefused;
+using api::kAqp;
+using api::kCard;
 using api::ModelSpec;
+using api::Request;
 using api::TableOptions;
 
 // --- Shared fixtures (the engine_concurrency_test idiom) -------------------
@@ -65,6 +71,14 @@ ModelSpec FastMdnSpec() {
            {"hidden_width", "16"},
            {"epochs", "2"},
            {"seed", "3"}}};
+}
+
+ModelSpec FastDarnSpec() {
+  return {"darn",
+          {{"hidden_width", "24"},
+           {"max_bins", "12"},
+           {"epochs", "2"},
+           {"seed", "5"}}};
 }
 
 ModelSpec FastSpnSpec() {
@@ -396,10 +410,10 @@ TEST(AdmissionTest, CoalesceGroupsAreByteIdenticalToUnbatchedIngest) {
             ModelStateBytes(unbatched.model("t")));
   for (int i = 0; i < 4; ++i) {
     workload::Query q = AqpRangeQuery(5.0 + i * 9, 60.0 + i * 8);
-    auto a = coalesced.EstimateAqp("t", q);
-    auto b = unbatched.EstimateAqp("t", q);
+    auto a = coalesced.Estimate(Request(kAqp, "t", {q}));
+    auto b = unbatched.Estimate(Request(kAqp, "t", {q}));
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
+    EXPECT_EQ(a.value().answers, b.value().answers);
   }
 }
 
@@ -494,6 +508,23 @@ TEST(ClusterTest, CrossShardJoinsMatchTheSingleEngineAnswer) {
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(api::PlanErrorFromStatus(err.status()),
             api::PlanError::kUnknownTable);
+
+  // Malformed request shapes fail with the engine's exact Status: both
+  // shapes set, and AQP over joins.
+  api::EstimateRequest both = request;
+  both.table = "fact";
+  api::EstimateRequest aqp_join = request;
+  aqp_join.kind = api::EstimateRequest::Kind::kAqp;
+  for (const api::EstimateRequest& malformed : {both, aqp_join}) {
+    auto from_cluster = cluster.Estimate(malformed);
+    auto from_engine = single.Estimate(malformed);
+    ASSERT_FALSE(from_cluster.ok());
+    ASSERT_FALSE(from_engine.ok());
+    EXPECT_EQ(from_cluster.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(from_cluster.status().code(), from_engine.status().code());
+    EXPECT_EQ(from_cluster.status().message(),
+              from_engine.status().message());
+  }
 }
 
 TEST(ClusterTest, SurfaceRoutesAndAggregatesAcrossShards) {
@@ -537,7 +568,19 @@ TEST(ClusterTest, SurfaceRoutesAndAggregatesAcrossShards) {
       EXPECT_EQ(report.value().buffered_rows, 0);
       EXPECT_EQ(report.value().backlog_batches, 0);
     }
+    ExpectHostileQueriesRefused(cluster, kAqp, name, AqpRangeQuery(0, 100));
   }
+  // So are hostile predicate values on the other model kinds, and in a
+  // join the cross-shard planner refuses them as a typed plan error.
+  const storage::Table card_base = MakeConditional(25, 75, 300, 4);
+  for (const auto& [name, spec] :
+       {std::pair{"darn", FastDarnSpec()}, std::pair{"spn", FastSpnSpec()}}) {
+    ASSERT_TRUE(cluster.CreateTable(name, card_base).ok());
+    ASSERT_TRUE(cluster.AttachModel(name, spec).ok()) << name;
+  }
+  ExpectHostileQueriesRefused(cluster, kCard, "darn", AqpRangeQuery(0, 100));
+  ExpectHostileQueriesRefused(cluster, kCard, "spn", AqpRangeQuery(0, 100));
+  ExpectHostileJoinRefused(cluster, "darn", "spn");
 
   for (size_t i = 0; i < names.size(); ++i) {
     ASSERT_TRUE(
